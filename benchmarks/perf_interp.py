@@ -448,12 +448,16 @@ def smoke() -> None:
     #    is the warm steady state the bench gates at full scale.  The
     #    inlined campaign must be signature-identical to the interpreter
     #    campaign from step 5 and ≥INLINE_RT_MIN_SPEEDUP warm.
+    from repro.eval.builds import reset_build_table
     from repro.machine.compile import reset_codegen_caches
 
     def _inline_arm(inline):
         reset_codegen_caches(code_cache=True)
         times, records = [], None
         for _ in range(2):
+            # Fresh jobs rebuild every transform: the build table would
+            # otherwise serve the first rep's builds to the second.
+            reset_build_table()
             arm_jobs = [
                 job_for_harness(
                     WorkloadHarness("mcf", app_factory("mcf", gate_scale)),
@@ -600,8 +604,11 @@ def bench_campaign_compiled() -> dict:
     everything, which is the hit-dominated steady state a resumed campaign
     sees.
     """
+    from repro.eval.builds import reset_build_table
+
     variants = [stdapp_variant()] + diversity_variants("sds")
 
+    reset_build_table()
     comp_jobs = _fresh_campaign_jobs(variants)
     with _gc_disabled():
         t0 = time.perf_counter()
@@ -616,6 +623,7 @@ def bench_campaign_compiled() -> dict:
 
     # Fresh module objects: every L1 memo misses, so this manifest shows the
     # content-addressed + delta caches carrying a warm re-run.
+    reset_build_table()
     warm_jobs = _fresh_campaign_jobs(variants)
     _, warm_manifest = run_campaign_jobs_with_manifest(
         warm_jobs, config=ExecConfig(jobs=1)
@@ -765,6 +773,7 @@ def bench_inline_rt() -> dict:
     stats come from the warm ON sweep.  Signature identity is checked
     three ways: ON vs OFF, and ON vs a plain interpreter campaign.
     """
+    from repro.eval.builds import reset_build_table
     from repro.machine.compile import reset_codegen_caches
 
     variants = [stdapp_variant()] + diversity_variants("sds")
@@ -775,6 +784,7 @@ def bench_inline_rt() -> dict:
         reps = []
         records = None
         for _ in range(CAMPAIGN_REPS):
+            reset_build_table()  # fresh jobs: no build carried over
             jobs = _fresh_campaign_jobs(variants)
             with _gc_disabled():
                 t0 = time.perf_counter()

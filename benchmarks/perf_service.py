@@ -39,6 +39,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.eval import CampaignRequest, ExecConfig, ResultStore, run
+from repro.eval.builds import reset_build_table
 from repro.faultinject import HEAP_ARRAY_RESIZE
 from repro.service import ServiceClient, ServiceDaemon
 
@@ -87,10 +88,15 @@ def client_requests(n: int = CLIENTS) -> list:
 
 
 def _sequential(requests) -> tuple:
-    """Best-of-N wall of the four requests as plain in-process runs."""
+    """Best-of-N wall of the four requests as plain in-process runs.
+
+    Every rep starts from an empty build table, like the fresh daemon of
+    each concurrent rep: both arms build what their requests need.
+    """
     best = None
     results = None
     for _ in range(REPS):
+        reset_build_table()
         with _gc_disabled():
             t0 = time.perf_counter()
             results = [run(req, config=ExecConfig()) for req in requests]
@@ -102,13 +108,15 @@ def _sequential(requests) -> tuple:
 def _concurrent(requests) -> tuple:
     """Best-of-N wall of the same requests via concurrent clients.
 
-    A fresh daemon per rep: the dedupe table is in-memory state, so a
-    second submission to a warm daemon would measure nothing but fan-out.
+    A fresh daemon and an empty build table per rep: the dedupe and build
+    tables are in-memory state, so a second submission to a warm daemon
+    would measure nothing but fan-out.
     """
     best = None
     results = None
     stats = None
     for _ in range(REPS):
+        reset_build_table()
         rep_results = [None] * len(requests)
 
         def submit(i, request, port):

@@ -42,6 +42,7 @@ from typing import (
 from ..obs.counters import total_counters
 from ..obs.manifest import RunManifest
 from ..obs.tracer import real_tracer
+from .builds import build_scope
 from .config import ExecConfig
 from .experiment import ExperimentRecord, WorkloadHarness
 from .parallel import CampaignJob, job_for_harness, run_campaign_jobs_with_manifest
@@ -180,7 +181,8 @@ HarnessProvider = Callable[[str, int], WorkloadHarness]
 def default_harness_provider(
     config: Optional[ExecConfig] = None,
 ) -> HarnessProvider:
-    """Fresh :class:`WorkloadHarness` per call, built from the app factory."""
+    """Fresh :class:`WorkloadHarness` per call, built from the app factory
+    (its golden run comes from the build table after the first)."""
 
     def provide(workload: str, scale: int) -> WorkloadHarness:
         from ..apps import app_factory
@@ -201,6 +203,9 @@ def request_jobs(
     expand through here, which is what pins their record order (and
     content) to each other: workloads × kinds in request order, each job
     enumerating site × variant × seed exactly like the serial loop.
+    Expansion is lazy: it takes golden runs and site lists from the build
+    table and transforms nothing — the executor fetches base transforms
+    only for jobs with tuples left to run.
     """
     request.validate()
     cfg = config if config is not None else ExecConfig.from_env()
@@ -257,10 +262,15 @@ def run(
             raise TypeError(
                 "run(request) takes no variants/kind — they live on the request"
             )
-        jobs = request_jobs(target, config=config)
+        with build_scope() as expansion:
+            jobs = request_jobs(target, config=config)
         records, manifest = run_campaign_jobs_with_manifest(
             jobs, config=config, tracer=tracer
         )
+        # The request's golden runs happen at expansion: count them too.
+        expansion.add_to(manifest)
+        if manifest.path is not None:
+            manifest.write(manifest.path)
         return CampaignResult(records, manifest)
     if isinstance(target, WorkloadHarness):
         if kind is not None:

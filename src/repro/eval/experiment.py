@@ -15,6 +15,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from ..faultinject.campaign import ProgramFactory
 from ..machine.process import ExitStatus, ProcessResult, run_process
+from .builds import build_table, canonical_pristine
 from .config import DEFAULT_TIMEOUT_FACTOR, ExecConfig
 from .variants import CompiledVariant, Variant
 
@@ -128,7 +129,12 @@ class WorkloadHarness:
     def __post_init__(self) -> None:
         if self.config is None:
             self.config = ExecConfig.from_env()
-        golden = run_process(self.factory(), argv=self.argv)
+        #: the canonical pristine snapshot (frozen) and its content digest.
+        self.pristine, self.pristine_digest = canonical_pristine(self.factory())
+        golden = build_table().get(
+            ("golden", self.pristine_digest, tuple(self.argv)),
+            lambda: run_process(self.pristine, argv=self.argv),
+        )
         if golden.status is not ExitStatus.NORMAL or golden.exit_code != 0:
             raise RuntimeError(
                 f"golden run of {self.name} failed: {golden.status} "

@@ -20,42 +20,43 @@ bit-identical* to a serial run:
   whatever order workers finish in.
 
 Experiment builds go through the **incremental recompilation layer**
-(:mod:`repro.core.incremental`) by default: per job the program factory runs
-once, producing a pristine snapshot, and each DPMR variant transforms that
-snapshot once up front.  A faulty build is then a copy-on-write module clone
-plus a re-transform of the single function containing the fault.  The
-pristine snapshots and per-variant transform caches are prepared in the
-coordinating process *before* the pool forks, so workers share them
-(copy-on-write pages) rather than rebuilding them; records are bit-identical
-to the full-rebuild path (set ``DPMR_INCREMENTAL=0`` or pass
-``incremental=False`` to use it).
-
-Workers keep a small LRU cache of compiled variants keyed by
-``(workload, variant, site)``, so a worker compiles any given faulty module
-at most once even though work is distributed as individual experiment
-tuples.
+(:mod:`repro.core.incremental`) by default: each DPMR variant transforms
+the pristine snapshot once, and a faulty build is then a copy-on-write
+module clone plus a re-transform of the single function containing the
+fault.  Every build product — pristine snapshot, site list, base
+transform, finished faulty build — lives in the process-wide build table
+(:mod:`repro.eval.builds`) under a key made of its content, so jobs that
+differ only in seeds, variant list or order, or fault kind, and repeated
+campaigns over fresh job objects, share every build they have in common.
+The base transforms a campaign needs are fetched in the coordinating
+process *before* the pool forks, so workers share them (copy-on-write
+pages) rather than rebuilding them; records are bit-identical to the
+full-rebuild path (set ``DPMR_INCREMENTAL=0`` or pass
+``incremental=False`` to use it), whose builds workers memoise in a small
+per-call LRU keyed by ``(workload, variant, site)``.
 
 The executor is opt-in: ``DPMR_JOBS=N`` in the environment (or an explicit
 ``jobs=`` argument) enables it; unset/``1`` runs the same code path
 serially in-process.  A minimum-work-per-worker heuristic shrinks (or
 drops to serial) the worker pool when a campaign is too small to amortize
-fork/IPC cost, and the pool never exceeds the machine's CPU count.
-Platforms without the ``fork`` start method fall back to serial execution —
-determinism there would require pickling program factories and re-deriving
-the hash seed, which the fork path gets for free.
+fork/IPC cost, and the pool never exceeds the cores this process may run
+on.  Platforms without the ``fork`` start method fall back to serial
+execution — determinism there would require pickling program factories and
+re-deriving the hash seed, which the fork path gets for free.
 
 **Resilience** (``DPMR_STORE`` / ``DPMR_RETRIES`` / ``DPMR_EXP_TIMEOUT``):
 with a store configured, every finished record is persisted under a
-content address (:mod:`repro.eval.store`) and looked up before execution,
-so re-running a campaign skips already-computed tuples and an interrupted
-campaign resumes where it died.  Parallel workers run under a
-:class:`~repro.eval.supervise.WorkerSupervisor` — a SIGKILLed or wedged
-worker is detected, respawned, and its experiment retried with exponential
-backoff; serial execution applies the same bounded-retry policy to
-infrastructure exceptions.  An experiment that keeps failing has its fault
-*site* quarantined: the site's records are excluded from the result, the
-campaign completes, and the run manifest records the quarantine, every
-retry, and all store traffic — degradation is never silent.  All of this
+content address (:mod:`repro.eval.store`) and looked up before anything
+is built, so re-running a campaign skips already-computed tuples (and
+their builds) and an interrupted campaign resumes where it died.  Parallel
+workers run under a :class:`~repro.eval.supervise.WorkerSupervisor` — a
+SIGKILLed or wedged worker is detected, respawned, and its experiment
+retried with exponential backoff; serial execution applies the same
+bounded-retry policy to infrastructure exceptions.  An experiment that
+keeps failing has its fault *site* quarantined: the site's records are
+excluded from the result, the campaign completes, and the run manifest
+records the quarantine, every retry, and all store traffic — degradation
+is never silent.  All of this
 is bit-transparent: the surviving records are byte-identical to an
 uninterrupted serial run without a store.
 """
@@ -71,29 +72,32 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.incremental import IncrementalDpmrCompiler
-from ..faultinject.campaign import Campaign, ProgramFactory
-from ..faultinject.injector import FaultSite, inject
+from ..faultinject.campaign import ProgramFactory, campaign_sites
+from ..faultinject.injector import FAULT_KINDS, FaultSite, inject
 from ..ir.module import Module
-from ..obs.manifest import JobManifest, QuarantineRecord, RunManifest
-from .config import (
-    INCREMENTAL_ENV_VAR,
-    JOBS_ENV_VAR,
-    ExecConfig,
+from ..obs.manifest import (
+    JobManifest,
+    QuarantineRecord,
+    RunManifest,
+    usable_cpu_count,
 )
+from .builds import BaseTransform, build_scope, build_table, canonical_pristine
+from .config import ExecConfig
 from .experiment import ExperimentRecord
+from .store import (
+    exec_fingerprint,
+    experiment_key,
+    variant_fingerprint,
+)
 from .supervise import SupervisionStats, WorkerSupervisor
 from .variants import CompiledVariant, Variant
 
 logger = logging.getLogger("repro.eval.parallel")
 
-#: Compiled variants cached per worker; small, since consecutive work items
-#: share the same (site, variant) and only chunk boundaries ever look back.
+#: Full-rebuild variants cached per worker; small, since consecutive work
+#: items share the same (site, variant) and only chunk boundaries ever look
+#: back.
 _COMPILED_CACHE_SIZE = 32
-
-#: Finished builds retained on a job's :class:`JobBuildState` (one entry per
-#: (site, variant)); sized to hold a whole typical job so repeated campaign
-#: runs never recompile.
-_STATE_CACHE_SIZE = 256
 
 #: Forking a worker is only worth it if it gets at least this many
 #: experiment tuples; below that, fork + import + IPC overhead dominates
@@ -114,13 +118,14 @@ def incremental_default() -> bool:
 def effective_workers(n_items: int, processes: int) -> int:
     """Worker count actually used for ``n_items`` experiment tuples.
 
-    Caps the requested ``processes`` at (a) the machine's CPU count — extra
-    workers on fewer cores only add fork and scheduling overhead — and
-    (b) one worker per :data:`MIN_ITEMS_PER_WORKER` tuples, so tiny
-    campaigns fall back to fewer workers or plain serial execution instead
-    of paying fork cost they cannot amortize.
+    Caps the requested ``processes`` at (a) the usable core count
+    (:func:`~repro.obs.manifest.usable_cpu_count`) — extra workers on fewer
+    cores only add fork and scheduling overhead — and (b) one worker per
+    :data:`MIN_ITEMS_PER_WORKER` tuples, so tiny campaigns fall back to
+    fewer workers or plain serial execution instead of paying fork cost
+    they cannot amortize.
     """
-    cap = os.cpu_count() or 1
+    cap = usable_cpu_count()
     by_work = n_items // MIN_ITEMS_PER_WORKER
     return max(1, min(processes, cap, by_work))
 
@@ -131,10 +136,10 @@ class CampaignJob:
 
     ``sites`` is enumerated once in the parent so every process agrees on
     site identity and order.  ``pristine``, when provided (it is whenever
-    the job comes from :func:`job_for_harness`), is the already-built
-    pristine snapshot the sites were enumerated on; the incremental build
-    path derives every faulty module from it instead of re-running the
-    factory.
+    the job comes from :func:`job_for_harness`), is the canonical pristine
+    snapshot the sites were enumerated on and ``pristine_digest`` its
+    content digest; the incremental build path derives every faulty module
+    from it instead of re-running the factory.
     """
 
     workload: str
@@ -148,23 +153,37 @@ class CampaignJob:
     seeds: Sequence[int] = (0,)
     percent: int = 50
     pristine: Optional[Module] = field(default=None, repr=False)
-    _state: Optional["JobBuildState"] = field(default=None, repr=False)
+    pristine_digest: Optional[str] = field(default=None, repr=False)
+
+    def pristine_snapshot(self) -> Tuple[Module, str]:
+        """The canonical pristine module of this job and its digest."""
+        if self.pristine is None or self.pristine_digest is None:
+            module = self.pristine if self.pristine is not None else self.factory()
+            self.pristine, self.pristine_digest = canonical_pristine(module)
+        return self.pristine, self.pristine_digest
 
     def build_state(self) -> "JobBuildState":
-        """This job's incremental build state, constructed once and cached.
+        """This job's view onto the build table.
 
         Holds the pristine snapshot plus one base transform (function-level
-        cache) per DPMR variant — the only full-program build work of the
-        whole campaign.  Cached on the job so repeated campaign runs and
-        forked workers reuse the warm caches.
+        cache) per DPMR variant — the only full-program build work of a
+        campaign, done once per content in this process, whatever job asks
+        for it.  Fetched in the coordinator before forking, so workers
+        inherit the warm transforms.
         """
-        if self._state is None:
-            pristine = self.pristine if self.pristine is not None else self.factory()
-            self._state = JobBuildState(
-                pristine=pristine,
-                compilers=[v.incremental_compiler(pristine) for v in self.variants],
-            )
-        return self._state
+        from ..machine.compile import inline_runtime_enabled
+
+        pristine, digest = self.pristine_snapshot()
+        inline_rt = inline_runtime_enabled()
+        return JobBuildState(
+            pristine=pristine,
+            digest=digest,
+            inline_rt=inline_rt,
+            variant_fps=[variant_fingerprint(v) for v in self.variants],
+            bases=[
+                base_transform(pristine, digest, v, inline_rt) for v in self.variants
+            ],
+        )
 
 
 def job_for_harness(
@@ -179,9 +198,16 @@ def job_for_harness(
 
     ``seeds`` overrides the harness's seed list (the service expands
     request-specified seeds through here); None keeps the harness's.
+    Sites come from the build table, enumerated once per
+    (pristine content, kind, percent); nothing is transformed here.
     """
-    campaign = Campaign(harness.factory, kind, percent=percent)
-    sites = campaign.sites
+    if kind not in FAULT_KINDS:
+        raise ValueError(f"unknown fault kind {kind!r}")
+    pristine, digest = harness.pristine, harness.pristine_digest
+    sites = build_table().get(
+        ("sites", digest, kind, percent),
+        lambda: campaign_sites(harness.factory, kind, percent=percent, module=pristine),
+    )
     if max_sites is not None:
         sites = sites[:max_sites]
     return CampaignJob(
@@ -195,47 +221,89 @@ def job_for_harness(
         argv=harness.argv,
         seeds=tuple(seeds) if seeds is not None else harness.seeds,
         percent=percent,
-        pristine=campaign.pristine,
+        pristine=pristine,
+        pristine_digest=digest,
+    )
+
+
+def base_transform(
+    pristine: Module, digest: str, variant: Variant, inline_rt: bool
+) -> Optional[BaseTransform]:
+    """The table's base transform of ``pristine`` under ``variant``.
+
+    None for non-DPMR variants, which need no transform.  ``inline_rt``
+    must be the runtime-specialization flag in force, which the
+    transform reads when it is built.
+    """
+    if not variant.dpmr:
+        return None
+    return build_table().get(
+        ("base", digest, variant_fingerprint(variant), inline_rt),
+        lambda: BaseTransform(variant.incremental_compiler(pristine)),
     )
 
 
 @dataclass
 class JobBuildState:
-    """Per-job incremental build state shared by coordinator and workers.
+    """One job's view onto the build table, shared by coordinator and workers.
 
-    One pristine snapshot plus one function-level transform cache per DPMR
-    variant (``None`` entries are non-DPMR variants).  Prepared in the
-    coordinating process before the pool forks, so every worker inherits
-    the fully-warmed caches.
+    The pristine snapshot and its digest, plus one base transform per
+    variant (``None`` for non-DPMR variants).  Finished faulty builds are
+    not held here: they are table entries keyed by content (see
+    :meth:`site_key`).  The ``cache_*`` fields count the function-level
+    transform cache traffic of the site builds made through this view.
     """
 
     pristine: Module
-    compilers: List[Optional[IncrementalDpmrCompiler]]
-    #: Finished faulty builds keyed (site index, variant index).  Lives as
-    #: long as the pristine snapshot it was derived from, so repeated
-    #: campaign runs over the same job skip even the per-site clone+inject.
-    compiled: "OrderedDict[Tuple[int, int], CompiledVariant]" = field(
-        default_factory=OrderedDict, repr=False
-    )
+    digest: str
+    inline_rt: bool
+    variant_fps: List[str]
+    bases: List[Optional[BaseTransform]]
+    cache_hits: int = 0
+    cache_misses: int = 0
+    cache_full_rebuilds: int = 0
+
+    @property
+    def compilers(self) -> List[Optional[IncrementalDpmrCompiler]]:
+        """The base transforms' incremental compilers (None: no DPMR)."""
+        return [b.compiler if b is not None else None for b in self.bases]
+
+    def site_key(self, job: CampaignJob, si: int, vi: int) -> Tuple:
+        """Build-table key of the finished build of (site ``si``, variant ``vi``)."""
+        return (
+            "site",
+            self.digest,
+            job.kind,
+            job.percent,
+            job.sites[si].site_id,
+            self.variant_fps[vi],
+            self.inline_rt,
+        )
+
+    def cache_stats(self) -> Tuple[int, int, int]:
+        return self.cache_hits, self.cache_misses, self.cache_full_rebuilds
 
 
 def prepare_build_states(jobs: Sequence[CampaignJob]) -> List[JobBuildState]:
-    """Build (or fetch) each job's pristine snapshot and transform caches.
+    """Each job's view onto the build table (see :meth:`CampaignJob.build_state`).
 
     This is the only place the campaign pays full-program build cost: one
-    ``factory()`` (skipped when the job carries its campaign's snapshot)
-    and one whole-module DPMR transform per variant, all cached on the job.
+    whole-module DPMR transform per variant whose content the table does
+    not hold yet.
     """
     return [job.build_state() for job in jobs]
 
 
 # An experiment tuple: (job index, site index, variant index, run index).
 _Item = Tuple[int, int, int, int]
+# Per-job build views of one campaign (None: incremental builds off, or,
+# per job, no tuple of that job left to run).
+_States = Optional[List[Optional[JobBuildState]]]
 
 # Worker-side state.  Populated in the parent immediately before workers are
 # forked (fork inherits it); None in a plain process.
 _WORKER_JOBS: Optional[List[CampaignJob]] = None
-_WORKER_STATES: Optional[List[JobBuildState]] = None
+_WORKER_STATES: _States = None
 _WORKER_TRACER = None  # file-backed tracer shared with workers (fork-aware)
 _WORKER_COUNTERS = False
 _WORKER_USE_COMPILED = False  # compiled execution tier (DPMR_COMPILE)
@@ -250,44 +318,32 @@ _CHAOS_HOOK = None
 
 def _compiled_for(
     jobs: List[CampaignJob],
-    states: Optional[List[JobBuildState]],
+    states: _States,
     item: _Item,
 ) -> CompiledVariant:
     """Compile (or fetch) the faulty build for one experiment tuple.
 
-    The cache key is (workload/job, variant, site); within a worker the
-    build for that key runs at most once.  With ``states`` (the incremental
-    path) a build is a copy-on-write clone of the job's pristine snapshot
-    plus a single-function re-transform, and the finished build is kept on
-    the :class:`JobBuildState` so later campaign runs over the same job
-    reuse it outright; without, it is a full factory-rebuild and
-    whole-module transform, memoised only for the current executor call.
+    With ``states`` (the incremental path) the build is a build-table
+    entry keyed by content (:meth:`JobBuildState.site_key`): built at most
+    once per process — a copy-on-write clone of the pristine snapshot plus
+    a single-function re-transform — and served to every later campaign,
+    job or request with the same content.  Without, it is a full
+    factory-rebuild and whole-module transform, memoised per worker only
+    for the current executor call.
     """
     ji, si, vi, _ = item
     job = jobs[ji]
-    site = job.sites[si]
     if states is not None:
         state = states[ji]
-        key = (si, vi)
-        compiled = state.compiled.get(key)
-        if compiled is not None:
-            # No move_to_end here: the cache is sized to hold a whole job,
-            # so recency bookkeeping on every hit is pure hot-path churn.
-            return compiled
-        clone = state.pristine.clone(mutable_functions=(site.function,))
-        faulty = inject(clone, site, job.percent)
-        compiled = job.variants[vi].compile_incremental(
-            state.compilers[vi], faulty
+        return build_table().get(
+            state.site_key(job, si, vi), lambda: _build_site(job, state, si, vi)
         )
-        state.compiled[key] = compiled
-        if len(state.compiled) > _STATE_CACHE_SIZE:
-            state.compiled.popitem(last=False)
-        return compiled
     key = (ji, si, vi)
     compiled = _COMPILED.get(key)
     if compiled is not None:
         _COMPILED.move_to_end(key)
         return compiled
+    site = job.sites[si]
     faulty = inject(job.factory(), site, job.percent)
     compiled = job.variants[vi].compile(faulty)
     _COMPILED[key] = compiled
@@ -296,9 +352,37 @@ def _compiled_for(
     return compiled
 
 
+def _build_site(
+    job: CampaignJob, state: JobBuildState, si: int, vi: int
+) -> CompiledVariant:
+    """One faulty build through the job's base transform.
+
+    The clone comes from the module the base transform was built on, so
+    every unchanged function is recognized by identity.  The transform
+    itself runs under the base entry's lock: its policy object and memo
+    are not thread-safe.
+    """
+    site = job.sites[si]
+    variant = job.variants[vi]
+    base = state.bases[vi]
+    pristine = base.compiler.pristine if base is not None else state.pristine
+    clone = pristine.clone(mutable_functions=(site.function,))
+    faulty = inject(clone, site, job.percent)
+    if base is None:
+        return variant.compile_incremental(None, faulty)
+    with base.lock:
+        stats = base.compiler.stats
+        full_before = stats.full_rebuilds
+        compiled = variant.compile_incremental(base.compiler, faulty)
+        state.cache_full_rebuilds += stats.full_rebuilds - full_before
+    state.cache_hits += compiled.cache_hits
+    state.cache_misses += compiled.cache_misses
+    return compiled
+
+
 def _run_item(
     jobs: List[CampaignJob],
-    states: Optional[List[JobBuildState]],
+    states: _States,
     item: _Item,
     tracer=None,
     counters: bool = False,
@@ -407,12 +491,12 @@ def _worker_decision(
         return 1, "serial", f"campaign has {n_items} experiment(s)"
     if not _fork_available():
         return 1, "serial", "fork start method unavailable on this platform"
-    cap = os.cpu_count() or 1
+    cap = usable_cpu_count()
     if cap <= 1:
         # Forking on a single core only adds scheduling and IPC overhead
         # (workers time-slice one CPU); the fallback used to be implicit in
         # the min() below — make it explicit so the manifest says why.
-        return 1, "serial", "single-core machine (os.cpu_count() <= 1)"
+        return 1, "serial", "single usable core"
     effective = effective_workers(n_items, requested)
     if effective <= 1:
         if n_items // MIN_ITEMS_PER_WORKER <= 1:
@@ -421,7 +505,7 @@ def _worker_decision(
                 f"cost (≥{MIN_ITEMS_PER_WORKER} items/worker required)"
             )
         else:
-            detail = f"machine reports {cap} cpu(s)"
+            detail = f"{cap} usable core(s)"
         return 1, "serial", detail
     reason = (
         f"min(requested {requested}, cpu {cap}, "
@@ -430,7 +514,7 @@ def _worker_decision(
     return effective, reason, None
 
 
-def _warm_compiled_bases(states: Sequence[JobBuildState]) -> None:
+def _warm_compiled_bases(states: Sequence[Optional[JobBuildState]]) -> None:
     """Pre-generate compiled code for every pristine/base-transform module.
 
     Delta codegen splices per-site code against a *base* generation of the
@@ -449,6 +533,8 @@ def _warm_compiled_bases(states: Sequence[JobBuildState]) -> None:
 
     inline_rt = inline_runtime_enabled()
     for state in states:
+        if state is None:
+            continue
         try:
             compiled_program_for(state.pristine)
         except Exception:  # pragma: no cover — interp fallback handles it
@@ -468,8 +554,13 @@ def _warm_compiled_bases(states: Sequence[JobBuildState]) -> None:
 
 
 def _job_manifests(
-    jobs: Sequence[CampaignJob], states: Optional[List[JobBuildState]]
+    jobs: Sequence[CampaignJob],
+    states: _States,
+    before: Sequence[Tuple[int, int, int]] = (),
 ) -> List[JobManifest]:
+    """Per-job telemetry; cache stats are deltas since ``before`` (each
+    view's :meth:`JobBuildState.cache_stats` at campaign start)."""
+    table = build_table()
     out: List[JobManifest] = []
     for ji, job in enumerate(jobs):
         jm = JobManifest(
@@ -480,22 +571,24 @@ def _job_manifests(
             n_seeds=len(job.seeds),
             sites=[s.site_id for s in job.sites],
         )
-        if states is not None:
-            state = states[ji]
-            for compiler in state.compilers:
-                if compiler is None:
-                    continue
-                jm.cache_hits += compiler.stats.hits
-                jm.cache_misses += compiler.stats.misses
-                jm.cache_full_rebuilds += compiler.stats.full_rebuilds
-            jm.builds_cached = len(state.compiled)
+        state = states[ji] if states is not None else None
+        if state is not None:
+            now = state.cache_stats()
+            then = before[ji] if before else (0, 0, 0)
+            jm.cache_hits = now[0] - then[0]
+            jm.cache_misses = now[1] - then[1]
+            jm.cache_full_rebuilds = now[2] - then[2]
+            jm.builds_cached = sum(
+                state.site_key(job, si, vi) in table
+                for si in range(len(job.sites))
+                for vi in range(len(state.variant_fps))
+            )
         out.append(jm)
     return out
 
 
 def _store_index(
     jobs: List[CampaignJob],
-    states: Optional[List[JobBuildState]],
     items: List[_Item],
     config: ExecConfig,
     store,
@@ -504,27 +597,13 @@ def _store_index(
 
     Returns ``(cached, keys, key_fields)``: records served as hits, the
     content address of every item, and the human-readable key fields
-    persisted with each entry.  Module fingerprints come from each job's
-    pristine snapshot — by the factory-determinism contract the snapshot's
-    text equals the text of every module a worker would rebuild.
+    persisted with each entry.  Module fingerprints are each job's pristine
+    digest — by the factory-determinism contract the snapshot's text
+    equals the text of every module a worker would rebuild — so nothing
+    is built to look a campaign up.
     """
-    from .store import (
-        exec_fingerprint,
-        experiment_key,
-        module_fingerprint,
-        variant_fingerprint,
-    )
-
     exec_fp = exec_fingerprint(config)
-    module_shas: List[str] = []
-    for ji, job in enumerate(jobs):
-        if states is not None:
-            pristine = states[ji].pristine
-        elif job.pristine is not None:
-            pristine = job.pristine
-        else:
-            pristine = job.factory()
-        module_shas.append(module_fingerprint(pristine))
+    module_shas = [job.pristine_snapshot()[1] for job in jobs]
     variant_fps = [[variant_fingerprint(v) for v in job.variants] for job in jobs]
 
     cached: Dict[_Item, ExperimentRecord] = {}
@@ -555,9 +634,17 @@ def _store_index(
     return cached, keys, key_fields
 
 
+def _build_states_for(
+    jobs: Sequence[CampaignJob], items: Sequence[_Item]
+) -> List[Optional[JobBuildState]]:
+    """Build-table views for the jobs ``items`` touch (None elsewhere)."""
+    needed = {item[0] for item in items}
+    return [job.build_state() if ji in needed else None for ji, job in enumerate(jobs)]
+
+
 def _run_serial_supervised(
     jobs: List[CampaignJob],
-    states: Optional[List[JobBuildState]],
+    states: _States,
     misses: List[_Item],
     config: ExecConfig,
     tracer,
@@ -626,7 +713,7 @@ def _run_serial_supervised(
 def run_campaign_jobs_with_manifest(
     jobs: Sequence[CampaignJob],
     config: Optional[ExecConfig] = None,
-    build_states: Optional[List[JobBuildState]] = None,
+    build_states: Optional[List[Optional[JobBuildState]]] = None,
     tracer=None,
     items: Optional[Sequence[_Item]] = None,
     on_record: Optional[Callable[[_Item, ExperimentRecord, str], None]] = None,
@@ -639,7 +726,9 @@ def run_campaign_jobs_with_manifest(
     behaviour per job) plus campaign aggregates (status counts, machine
     counter totals when observability is on) and every resilience event
     (store hits/misses/corruption, retries, worker restarts, quarantined
-    sites).  ``config`` defaults to :meth:`ExecConfig.from_env`; ``tracer``
+    sites), and the campaign's build-table traffic (golden runs, base
+    transforms and site builds built or served; :mod:`repro.eval.builds`).
+    ``config`` defaults to :meth:`ExecConfig.from_env`; ``tracer``
     overrides the config's trace file (pass a
     :class:`~repro.obs.CollectingTracer` in tests).  Records stay
     bit-identical across serial/parallel, incremental/full-rebuild,
@@ -661,6 +750,56 @@ def run_campaign_jobs_with_manifest(
       (serial) and dispatches (supervised workers); when set, remaining
       items are abandoned and only finished records are returned.
     """
+    config = config if config is not None else ExecConfig.from_env()
+    # -- shard fabric routing (DPMR_SHARDS / ExecConfig.shards) ---------
+    # N>1 hands the whole invocation to the shard coordinator, which
+    # partitions the tuple space across N worker nodes and re-enters this
+    # function (with shards=1) inside each node.  Observability and
+    # fork-less platforms fall back to single-node execution with a logged
+    # reason — never silently.
+    sharded = False
+    if config.shards > 1:
+        from ..shard.coordinator import run_sharded_campaign, sharding_fallback
+
+        shard_fallback = sharding_fallback(config, tracer)
+        sharded = shard_fallback is None
+        if not sharded:
+            logger.warning(
+                "campaign requested %d shards but runs single-node: %s",
+                config.shards,
+                shard_fallback,
+            )
+    with build_scope() as builds:
+        if sharded:
+            records, manifest = run_sharded_campaign(
+                jobs,
+                config=config,
+                build_states=build_states,
+                items=items,
+                on_record=on_record,
+                cancel=cancel,
+            )
+        else:
+            records, manifest = _run_single_node(
+                list(jobs), config, build_states, tracer, items, on_record, cancel
+            )
+    builds.add_to(manifest)
+    out_path = config.effective_manifest_path()
+    if out_path is not None:
+        manifest.write(out_path)
+    return records, manifest
+
+
+def _run_single_node(
+    jobs: List[CampaignJob],
+    config: ExecConfig,
+    build_states: _States,
+    tracer,
+    items: Optional[Sequence[_Item]],
+    on_record,
+    cancel,
+) -> Tuple[List[ExperimentRecord], RunManifest]:
+    """The body of :func:`run_campaign_jobs_with_manifest` on one node."""
     global _WORKER_JOBS, _WORKER_STATES, _WORKER_TRACER, _WORKER_COUNTERS
     global _WORKER_USE_COMPILED
     from ..machine.compile import (
@@ -671,44 +810,8 @@ def run_campaign_jobs_with_manifest(
     from ..obs.counters import total_counters
     from ..obs.tracer import real_tracer
 
-    config = config if config is not None else ExecConfig.from_env()
-    # -- shard fabric routing (DPMR_SHARDS / ExecConfig.shards) ---------
-    # N>1 hands the whole invocation to the shard coordinator, which
-    # partitions the tuple space across N worker nodes and re-enters this
-    # function (with shards=1) inside each node.  Observability and
-    # fork-less platforms fall back to single-node execution with a logged
-    # reason — never silently.
-    if config.shards > 1:
-        from ..shard.coordinator import run_sharded_campaign, sharding_fallback
-
-        shard_fallback = sharding_fallback(config, tracer)
-        if shard_fallback is None:
-            return run_sharded_campaign(
-                jobs,
-                config=config,
-                build_states=build_states,
-                items=items,
-                on_record=on_record,
-                cancel=cancel,
-            )
-        logger.warning(
-            "campaign requested %d shards but runs single-node: %s",
-            config.shards,
-            shard_fallback,
-        )
-    # Campaign-scoped runtime-specialization toggle: sampled by the build
-    # states below (their transform journals gate on it), by base warming,
-    # and inherited by forked workers.  Restored in the finally.
-    inline_prev = set_inline_runtime(config.inline_rt)
-    jobs = list(jobs)
     incremental = config.incremental or build_states is not None
     items = _all_items(jobs) if items is None else [tuple(i) for i in items]
-    states: Optional[List[JobBuildState]] = None
-    if incremental and items:
-        states = (
-            build_states if build_states is not None else prepare_build_states(jobs)
-        )
-
     own_tracer = tracer is None
     if own_tracer:
         tracer = config.make_tracer()
@@ -717,83 +820,98 @@ def run_campaign_jobs_with_manifest(
     # Observability forces the instrumented interpreter; the compiled tier
     # only engages on bare runs (records are bit-identical either way).
     use_compiled = config.compiled and not counters
-
-    # -- persistent store lookup ---------------------------------------
-    store = config.make_store()
-    cached: Dict[_Item, ExperimentRecord] = {}
-    keys: Dict[_Item, str] = {}
-    key_fields: Dict[_Item, Dict] = {}
-    if store is not None and items:
-        cached, keys, key_fields = _store_index(
-            jobs, states, items, config, store
-        )
-    misses = [item for item in items if item not in cached]
-    if on_record is not None:
-        for item in items:
-            record = cached.get(item)
-            if record is not None:
-                on_record(item, record, "store")
-    on_result = None
-    if store is not None or on_record is not None:
-
-        def on_result(item, record):  # noqa: E731 — composed callback
-            if store is not None:
-                store.put(keys[item], record, key_fields.get(item))
-            if on_record is not None:
-                on_record(item, record, "run")
-
-    if not items:
-        # An explicit decision, not a silent no-op: a service-side expansion
-        # bug that produces zero tuples must be visible in the manifest.
-        effective, reason, fallback = 1, "empty_campaign", None
-        logger.warning(
-            "campaign over %d job(s) expanded to zero experiment tuples",
-            len(jobs),
-        )
-    elif not misses:
-        effective, reason, fallback = 1, "all experiments served from store", None
-    else:
-        effective, reason, fallback = _worker_decision(config.jobs, len(misses))
-    if fallback is not None:
-        logger.warning(
-            "campaign requested %d workers but runs serially: %s",
-            config.jobs,
-            fallback,
-        )
-    manifest = RunManifest(
-        mode="campaign",
-        requested_jobs=config.jobs,
-        effective_jobs=effective,
-        worker_reason=reason,
-        serial_fallback=fallback,
-        incremental=bool(states is not None),
-        trace_path=config.trace_path if (own_tracer and tracer is not None) else None,
-        counters_enabled=counters,
-        engine="compiled" if use_compiled else "interp",
-        timeout_factor=config.timeout_factor,
-        n_jobs=len(jobs),
-        n_items=len(items),
-    )
-    stats = SupervisionStats()
-    # With a store configured, generated per-site source persists next to
-    # the results (<store>/codegen), so warm-resume campaigns skip codegen
-    # entirely; restored in the finally below.
+    # Campaign-scoped runtime-specialization toggle: sampled by the build
+    # states below (their transform journals gate on it), by base warming,
+    # and inherited by forked workers.  Restored in the finally.
+    inline_prev = set_inline_runtime(config.inline_rt)
     persist_prev: Optional[str] = None
     persist_set = False
-    if use_compiled and store is not None:
-        persist_prev = set_persistent_code_cache(
-            os.path.join(store.root, "codegen")
-        )
-        persist_set = True
-    if use_compiled and states is not None and misses:
-        _warm_compiled_bases(states)
-    # Coordinator-process snapshot: forked workers' codegen stats do not
-    # cross the process boundary, so the deltas below cover serial runs and
-    # the coordinator's share of parallel ones (still enough to show the
-    # content-addressed cache working across a campaign).
-    cg_before = codegen_stats()
-    started = time.monotonic()
+    stats = SupervisionStats()
     try:
+        # -- persistent store lookup, before anything is built -----------
+        store = config.make_store()
+        cached: Dict[_Item, ExperimentRecord] = {}
+        keys: Dict[_Item, str] = {}
+        key_fields: Dict[_Item, Dict] = {}
+        if store is not None and items:
+            cached, keys, key_fields = _store_index(jobs, items, config, store)
+        misses = [item for item in items if item not in cached]
+        if on_record is not None:
+            for item in items:
+                record = cached.get(item)
+                if record is not None:
+                    on_record(item, record, "store")
+        on_result = None
+        if store is not None or on_record is not None:
+
+            def on_result(item, record):  # noqa: E731 — composed callback
+                if store is not None:
+                    store.put(keys[item], record, key_fields.get(item))
+                if on_record is not None:
+                    on_record(item, record, "run")
+
+        # Build views only for jobs with work left: a store-warm campaign
+        # transforms nothing.
+        states: _States = None
+        if incremental and misses:
+            states = (
+                build_states
+                if build_states is not None
+                else _build_states_for(jobs, misses)
+            )
+        cache_before = [s.cache_stats() if s else (0, 0, 0) for s in states or ()]
+
+        if not items:
+            # An explicit decision, not a silent no-op: a service-side
+            # expansion bug that produces zero tuples must be visible in
+            # the manifest.
+            effective, reason, fallback = 1, "empty_campaign", None
+            logger.warning(
+                "campaign over %d job(s) expanded to zero experiment tuples",
+                len(jobs),
+            )
+        elif not misses:
+            effective, reason, fallback = 1, "all experiments served from store", None
+        else:
+            effective, reason, fallback = _worker_decision(config.jobs, len(misses))
+        if fallback is not None:
+            logger.warning(
+                "campaign requested %d workers but runs serially: %s",
+                config.jobs,
+                fallback,
+            )
+        manifest = RunManifest(
+            mode="campaign",
+            requested_jobs=config.jobs,
+            effective_jobs=effective,
+            worker_reason=reason,
+            serial_fallback=fallback,
+            incremental=incremental and bool(items),
+            trace_path=(
+                config.trace_path if (own_tracer and tracer is not None) else None
+            ),
+            counters_enabled=counters,
+            engine="compiled" if use_compiled else "interp",
+            timeout_factor=config.timeout_factor,
+            n_jobs=len(jobs),
+            n_items=len(items),
+        )
+        # With a store configured, generated per-site source persists next
+        # to the results (<store>/codegen), so warm-resume campaigns skip
+        # codegen entirely; restored in the finally below.
+        if use_compiled and store is not None:
+            persist_prev = set_persistent_code_cache(
+                os.path.join(store.root, "codegen")
+            )
+            persist_set = True
+        if use_compiled and states is not None:
+            _warm_compiled_bases(states)
+        # Coordinator-process snapshot: forked workers' codegen stats do not
+        # cross the process boundary, so the deltas below cover serial runs
+        # and the coordinator's share of parallel ones (still enough to show
+        # the content-addressed cache working across a campaign).
+        cg_before = codegen_stats()
+        started = time.monotonic()
         if effective <= 1:
             _COMPILED.clear()
             try:
@@ -873,7 +991,7 @@ def run_campaign_jobs_with_manifest(
     manifest.codegen_hits = cg_after["hits"] - cg_before["hits"]
     manifest.codegen_misses = cg_after["misses"] - cg_before["misses"]
     manifest.n_records = len(records)
-    manifest.jobs = _job_manifests(jobs, states)
+    manifest.jobs = _job_manifests(jobs, states, cache_before)
     manifest.retries = stats.retries
     manifest.worker_restarts = stats.worker_restarts
     manifest.exp_timeouts = stats.exp_timeouts
@@ -897,9 +1015,6 @@ def run_campaign_jobs_with_manifest(
         s = r.result.status.value
         manifest.status_counts[s] = manifest.status_counts.get(s, 0) + 1
     manifest.counter_totals = total_counters(r.result.counters for r in records)
-    out_path = config.effective_manifest_path()
-    if out_path is not None:
-        manifest.write(out_path)
     return records, manifest
 
 

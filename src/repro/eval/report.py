@@ -105,8 +105,8 @@ def manifest_section(manifest) -> str:
     """Render a :class:`~repro.obs.RunManifest` as a report section.
 
     Shows the executor decisions (worker count and why, serial fallback,
-    incremental builds), per-job cache behaviour, and outcome aggregates —
-    the same data the JSON manifest persists.
+    incremental builds), build-table traffic, per-job cache behaviour, and
+    outcome aggregates — the same data the JSON manifest persists.
     """
     lines = ["run manifest", "============"]
     lines.append(
@@ -137,6 +137,12 @@ def manifest_section(manifest) -> str:
     if manifest.timeout_factor is not None:
         obs_bits.append(f"timeout_factor={manifest.timeout_factor}")
     lines.append("observability: " + " ".join(obs_bits))
+    lines.append(
+        f"build table: golden built={manifest.golden_built} "
+        f"served={manifest.golden_served} base built={manifest.base_built} "
+        f"served={manifest.base_served} site built={manifest.site_built} "
+        f"served={manifest.site_served} evicted={manifest.builds_evicted}"
+    )
     for jm in manifest.jobs:
         lines.append(
             f"  job {jm.workload}/{jm.kind}: sites={jm.n_sites} "

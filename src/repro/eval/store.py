@@ -37,8 +37,8 @@ import tempfile
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence
 
-from ..ir.printer import format_module
 from ..machine.process import ExitStatus, ProcessResult
+from .builds import module_fingerprint  # noqa: F401 — part of the key API
 from .config import ExecConfig
 from .experiment import ExperimentRecord
 from .variants import Variant
@@ -49,15 +49,6 @@ STORE_SCHEMA = 1
 
 
 # -- fingerprints ----------------------------------------------------------
-
-
-def module_fingerprint(module) -> str:
-    """sha256 of the module's canonical printed form.
-
-    Covers every function body (including injected faults), globals and
-    their initializers — any edit to the program text changes the key.
-    """
-    return hashlib.sha256(format_module(module).encode("utf-8")).hexdigest()
 
 
 def variant_fingerprint(variant: Variant) -> str:

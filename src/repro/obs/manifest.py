@@ -21,7 +21,16 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 #: Manifest schema version; bump on incompatible shape changes.
-MANIFEST_SCHEMA = 5
+MANIFEST_SCHEMA = 6
+
+
+def usable_cpu_count() -> int:
+    """Cores this process may run on: its affinity mask where the platform
+    has one (containers and ``taskset`` narrow it), else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -149,13 +158,26 @@ class RunManifest:
     store_synced: int = 0
     #: per-shard provenance (one entry per worker node that ran a lease).
     shards: List[ShardManifest] = field(default_factory=list)
+    # -- build table (schema 6; repro.eval.builds) --------------------------
+    #: golden runs, base transforms and finished faulty builds this
+    #: campaign built vs. took from the process-wide build table, and table
+    #: entries its inserts evicted.  Coordinator-process view: builds made
+    #: inside forked workers stay there.
+    golden_built: int = 0
+    golden_served: int = 0
+    base_built: int = 0
+    base_served: int = 0
+    site_built: int = 0
+    site_served: int = 0
+    builds_evicted: int = 0
     # -- outcome aggregates -------------------------------------------------
     status_counts: Dict[str, int] = field(default_factory=dict)
     counter_totals: Dict[str, int] = field(default_factory=dict)
     wall_s: float = 0.0
     # -- provenance ---------------------------------------------------------
     python: str = field(default_factory=platform.python_version)
-    cpu_count: int = field(default_factory=lambda: os.cpu_count() or 1)
+    #: usable cores (:func:`usable_cpu_count`).
+    cpu_count: int = field(default_factory=usable_cpu_count)
     #: where this manifest was persisted, if anywhere.
     path: Optional[str] = None
 

@@ -65,7 +65,7 @@ def tuple_key(
 class TupleRef:
     """One experiment tuple, addressed within a canonical job."""
 
-    entry: object  # the scheduler's JobEntry (kept opaque here)
+    entry: object  # the scheduler's canonical CampaignJob (kept opaque here)
     si: int
     vi: int
     ri: int
@@ -73,7 +73,7 @@ class TupleRef:
 
     @property
     def job(self) -> CampaignJob:
-        return self.entry.job  # type: ignore[attr-defined]
+        return self.entry  # type: ignore[return-value]
 
     @property
     def site_id(self) -> str:

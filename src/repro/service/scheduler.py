@@ -6,12 +6,15 @@ stages:
 
 1. **Expansion** (single-thread ``expand`` executor): resolve the
    request against *canonical* per-``(workload, scale, kind, percent,
-   seeds, design)`` campaign jobs — one golden run, one site enumeration,
-   and one incremental build state per cell, ever, with the variant list
-   append-only so tuple indices stay stable across requests — and compute
-   each tuple's content address (the persistent store's
-   :func:`~repro.eval.store.experiment_key`).  Store admission
-   (``get_many``) also happens here, off the event loop.
+   seeds, design)`` campaign jobs, with the variant list append-only so
+   tuple indices stay stable across requests, and compute each tuple's
+   content address (the persistent store's
+   :func:`~repro.eval.store.experiment_key`).  Golden runs, site lists
+   and base transforms come from the process-wide build table
+   (:mod:`repro.eval.builds`), keyed by content: cells that differ only
+   in seeds share all of them, and a new variant's base transform is
+   built (or served) at admission.  Store admission (``get_many``) also
+   happens here, off the event loop.
 2. **Admission** (event loop): each tuple is served from the in-memory
    completed table, served from the store lookup, joined onto an
    in-flight duplicate, or scheduled as new work.  All dedupe state is
@@ -19,16 +22,18 @@ stages:
 3. **Execution** (single-thread ``run`` executor): a runner task drains
    pending tuples in batch snapshots through
    :func:`~repro.eval.parallel.run_campaign_jobs_with_manifest`
-   (``items=`` subsets, shared ``build_states``, streaming
-   ``on_record``), which brings along the executor's whole resilience
-   stack — supervised workers, retry/backoff, site quarantine, store
-   writes, warm compiled bases.  Completions hop back to the loop via
+   (``items=`` subsets, streaming ``on_record``; faulty builds are
+   build-table entries too), which brings along the executor's whole
+   resilience stack — supervised workers, retry/backoff, site
+   quarantine, store writes, warm compiled bases.  Completions hop back to the loop via
    ``call_soon_threadsafe`` and fan out to every subscribed request.
 
 Each request gets its own ``mode="service"`` manifest at the end:
 ``store_hits`` (persistent store), ``shared_hits`` (deduplicated against
 other requests in this daemon's lifetime), and ``store_misses`` (tuples
-this request actually caused to execute).  Client disconnects orphan the
+this request actually caused to execute).  ``status`` reports the
+daemon's build-table totals (golden runs, base transforms, site builds;
+built vs. served; evictions).  Client disconnects orphan the
 request's messages but never cancel its tuples — the work completes and
 the store retains the results, so the next submission is free.
 """
@@ -45,15 +50,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..eval.api import CampaignRequest
+from ..eval.builds import BuildCounts, build_scope, build_table
 from ..eval.config import ExecConfig
 from ..eval.experiment import ExperimentRecord, WorkloadHarness
 from ..eval.parallel import (
     CampaignJob,
-    JobBuildState,
+    base_transform,
     job_for_harness,
     run_campaign_jobs_with_manifest,
 )
-from ..eval.store import exec_fingerprint, module_fingerprint, variant_fingerprint
+from ..eval.store import exec_fingerprint, variant_fingerprint
 from ..eval.variants import resolve_variants
 from ..obs.manifest import RunManifest
 from . import protocol
@@ -61,22 +67,6 @@ from .dedupe import DedupeTable, TupleRef, tuple_key
 from .projections import EventLog, Projections
 
 logger = logging.getLogger("repro.service.scheduler")
-
-
-@dataclass
-class JobEntry:
-    """One canonical campaign job plus its append-only variant registry.
-
-    ``job.variants`` (and the parallel ``variant_fps`` / build-state
-    ``compilers``) only ever grow, and always together under the
-    scheduler's cache lock — indices handed out to earlier requests stay
-    valid while the run thread is mid-batch.
-    """
-
-    job: CampaignJob
-    module_sha: str
-    variant_fps: List[str] = field(default_factory=list)
-    variant_index: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -113,11 +103,12 @@ class CampaignScheduler:
         self.log = EventLog()
         self.projections = Projections()
         self.requests: Dict[str, RequestState] = {}
-        self._harnesses: Dict[Tuple[str, int], WorkloadHarness] = {}
-        self._jobs: Dict[Tuple, JobEntry] = {}
-        #: guards the append-only variant registries shared between the
-        #: expansion thread (appends) and the run thread (reads mid-batch).
-        self._cache_lock = threading.Lock()
+        #: canonical jobs; their variant lists only ever grow (on the
+        #: expansion thread), so indices handed out to earlier requests stay
+        #: valid while the run thread is mid-batch.
+        self._jobs: Dict[Tuple, CampaignJob] = {}
+        #: build-table traffic caused by this daemon's threads.
+        self.builds = BuildCounts()
         self._expand_pool = ThreadPoolExecutor(1, thread_name_prefix="dpmr-expand")
         self._run_pool = ThreadPoolExecutor(1, thread_name_prefix="dpmr-run")
         self._cancel = threading.Event()
@@ -233,6 +224,7 @@ class CampaignScheduler:
             "pending": len(self.dedupe.pending),
             "completed": len(self.dedupe.completed),
             "dedupe": dict(self.dedupe.stats),
+            "builds": {**self.builds.to_dict(), "entries": len(build_table())},
             "projections": self.projections.to_dict(),
         }
 
@@ -264,17 +256,18 @@ class CampaignScheduler:
         n_jobs = 0
         for workload in request.workloads:
             for kind in request.kinds:
-                entry = self._job_entry(
-                    workload,
-                    request.scale,
-                    kind,
-                    request.percent,
-                    request.seeds,
-                    request.design,
-                )
-                vis = self._ensure_variants(entry, request.variants, request.design)
+                with build_scope(self.builds):
+                    job = self._job(
+                        workload,
+                        request.scale,
+                        kind,
+                        request.percent,
+                        request.seeds,
+                        request.design,
+                    )
+                    vis = self._ensure_variants(job, request.variants, request.design)
                 n_jobs += 1
-                job = entry.job
+                variant_fps = [variant_fingerprint(v) for v in job.variants]
                 n_sites = len(job.sites)
                 if request.max_sites is not None:
                     n_sites = min(n_sites, request.max_sites)
@@ -284,31 +277,19 @@ class CampaignScheduler:
                             key, _ = tuple_key(
                                 job,
                                 si,
-                                entry.variant_fps[vi],
+                                variant_fps[vi],
                                 ri,
                                 self.exec_fp,
-                                entry.module_sha,
+                                job.pristine_digest,
                             )
-                            refs.append(TupleRef(entry, si, vi, ri, key))
+                            refs.append(TupleRef(job, si, vi, ri, key))
         store_records: Dict[str, ExperimentRecord] = {}
         if self.store is not None:
             lookup = sorted({r.key for r in refs} - known)
             store_records = self.store.get_many(lookup)
         return refs, store_records, n_jobs
 
-    def _harness(self, workload: str, scale: int) -> WorkloadHarness:
-        key = (workload, scale)
-        harness = self._harnesses.get(key)
-        if harness is None:
-            from ..apps import app_factory
-
-            harness = WorkloadHarness(
-                workload, app_factory(workload, scale), config=self.config
-            )
-            self._harnesses[key] = harness
-        return harness
-
-    def _job_entry(
+    def _job(
         self,
         workload: str,
         scale: int,
@@ -316,46 +297,47 @@ class CampaignScheduler:
         percent: int,
         seeds: Sequence[int],
         design: str,
-    ) -> JobEntry:
+    ) -> CampaignJob:
         """The canonical job for one matrix cell (created once, ever).
 
         The job enumerates *all* fault sites — a request's ``max_sites``
         restricts which site indices it admits, so differing limits share
         one job.  Seeds are part of the identity because the run index
-        (which the store key and the record both carry) indexes into them.
+        (which the store key and the record both carry) indexes into them;
+        everything built for the job is keyed by content in the build
+        table, so cells that differ only in seeds build nothing twice.
         """
         key = (workload, scale, kind, percent, tuple(seeds), design)
-        entry = self._jobs.get(key)
-        if entry is not None:
-            return entry
-        harness = self._harness(workload, scale)
-        job = job_for_harness(harness, [], kind, percent=percent, seeds=seeds)
-        job._state = JobBuildState(pristine=job.pristine, compilers=[])
-        entry = JobEntry(job=job, module_sha=module_fingerprint(job.pristine))
-        self._jobs[key] = entry
-        return entry
+        job = self._jobs.get(key)
+        if job is None:
+            from ..apps import app_factory
+
+            harness = WorkloadHarness(
+                workload, app_factory(workload, scale), config=self.config
+            )
+            job = job_for_harness(harness, [], kind, percent=percent, seeds=seeds)
+            self._jobs[key] = job
+        return job
 
     def _ensure_variants(
-        self, entry: JobEntry, names: Sequence[str], design: str
+        self, job: CampaignJob, names: Sequence[str], design: str
     ) -> List[int]:
-        """Canonical variant indices for ``names``, appending new ones."""
-        variants = resolve_variants(names, design)
-        vis: List[int] = []
-        for variant in variants:
-            vi = entry.variant_index.get(variant.name)
-            if vi is None:
-                with self._cache_lock:
-                    vi = len(entry.job.variants)
-                    entry.job.variants.append(variant)
-                    state = entry.job._state
-                    assert state is not None
-                    state.compilers.append(
-                        variant.incremental_compiler(state.pristine)
-                    )
-                    entry.variant_fps.append(variant_fingerprint(variant))
-                    entry.variant_index[variant.name] = vi
-            vis.append(vi)
-        return vis
+        """Canonical variant indices for ``names``, appending new ones.
+
+        A new variant's base transform is fetched from the build table
+        (built on its content's first use) at admission.
+        """
+        from ..machine.compile import inline_runtime_enabled
+
+        known = [v.name for v in job.variants]
+        for variant in resolve_variants(names, design):
+            if variant.name not in known:
+                base_transform(
+                    job.pristine, job.pristine_digest, variant, inline_runtime_enabled()
+                )
+                job.variants.append(variant)
+                known.append(variant.name)
+        return [known.index(name) for name in names]
 
     # -- execution (runner task + run thread) ---------------------------
 
@@ -382,18 +364,15 @@ class CampaignScheduler:
             if not refs:
                 continue
             jobs: List[CampaignJob] = []
-            states: List[JobBuildState] = []
             items: List[Tuple[int, int, int, int]] = []
             key_of: Dict[Tuple[int, int, int, int], str] = {}
             job_index: Dict[int, int] = {}
             for ref in refs:
-                ji = job_index.get(id(ref.entry))
+                ji = job_index.get(id(ref.job))
                 if ji is None:
                     ji = len(jobs)
-                    job_index[id(ref.entry)] = ji
+                    job_index[id(ref.job)] = ji
                     jobs.append(ref.job)
-                    assert ref.job._state is not None
-                    states.append(ref.job._state)
                 item = (ji, ref.si, ref.vi, ref.ri)
                 items.append(item)
                 key_of[item] = ref.key
@@ -403,17 +382,15 @@ class CampaignScheduler:
                 if key is not None:
                     _loop.call_soon_threadsafe(self._tuple_done, key, record)
 
-            def run_batch(
-                _jobs=jobs, _states=states, _items=items, _cb=on_record
-            ):
-                return run_campaign_jobs_with_manifest(
-                    _jobs,
-                    config=self.config,
-                    build_states=_states,
-                    items=_items,
-                    on_record=_cb,
-                    cancel=self._cancel,
-                )
+            def run_batch(_jobs=jobs, _items=items, _cb=on_record):
+                with build_scope(self.builds):
+                    return run_campaign_jobs_with_manifest(
+                        _jobs,
+                        config=self.config,
+                        items=_items,
+                        on_record=_cb,
+                        cancel=self._cancel,
+                    )
 
             try:
                 _, manifest = await loop.run_in_executor(self._run_pool, run_batch)

@@ -4,7 +4,7 @@
 site × variant × run)`` across N worker nodes — processes simulating
 machines, each with its own supervised pool and shard-local store
 directory — and merges the results back into one record list and one
-schema-5 :class:`~repro.obs.manifest.RunManifest`, bit-identical to a
+merged :class:`~repro.obs.manifest.RunManifest`, bit-identical to a
 single-node run.
 
 Enable it with ``DPMR_SHARDS=N`` (or ``ExecConfig(shards=N)``); the

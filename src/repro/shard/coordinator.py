@@ -58,7 +58,12 @@ from ..eval.config import ExecConfig
 from ..eval.experiment import ExperimentRecord
 from ..eval.store import ResultStore
 from ..eval.supervise import SupervisionStats, WorkerSupervisor
-from ..obs.manifest import QuarantineRecord, RunManifest, ShardManifest
+from ..obs.manifest import (
+    QuarantineRecord,
+    RunManifest,
+    ShardManifest,
+    usable_cpu_count,
+)
 from . import worker as worker_mod
 from .lease import Lease, LeaseTable
 from .merge import merge_manifests
@@ -110,17 +115,17 @@ def run_sharded_campaign(
     """Run the campaign across ``config.shards`` worker nodes.
 
     Same contract as
-    :func:`~repro.eval.parallel.run_campaign_jobs_with_manifest`:
-    records in exact serial order plus a (schema-5, merged) manifest;
-    ``on_record`` streams store hits and synced lease results;
-    ``cancel`` abandons unfinished leases.
+    :func:`~repro.eval.parallel.run_campaign_jobs_with_manifest`, which
+    calls it and persists the returned manifest: records in exact serial
+    order plus a merged manifest; ``on_record`` streams store hits and
+    synced lease results; ``cancel`` abandons unfinished leases.
     """
     from ..eval.parallel import (
         _all_items,
+        _build_states_for,
         _job_manifests,
         _store_index,
         _warm_compiled_bases,
-        prepare_build_states,
     )
     from ..machine.compile import set_inline_runtime
 
@@ -130,13 +135,6 @@ def run_sharded_campaign(
         jobs = list(jobs)
         items = _all_items(jobs) if items is None else [tuple(i) for i in items]
         incremental = config.incremental or build_states is not None
-        states = None
-        if incremental and items:
-            states = (
-                build_states
-                if build_states is not None
-                else prepare_build_states(jobs)
-            )
 
         # -- coordinator store lookup (resume / memoization) ------------
         store = config.make_store()
@@ -145,7 +143,7 @@ def run_sharded_campaign(
         key_fields: Dict[_Item, Dict] = {}
         if items:
             cached, keys, key_fields = _store_index(
-                jobs, states, items, config,
+                jobs, items, config,
                 store if store is not None else _KeyOnlyStore(),
             )
         if on_record is not None:
@@ -154,6 +152,14 @@ def run_sharded_campaign(
                 if record is not None:
                     on_record(item, record, "store")
         misses = [item for item in items if item not in cached]
+        # Build views only for jobs with tuples left to lease.
+        states = None
+        if incremental and misses:
+            states = (
+                build_states
+                if build_states is not None
+                else _build_states_for(jobs, misses)
+            )
 
         # -- fabric root: shard-local stores live here -------------------
         temp_root = None
@@ -164,7 +170,7 @@ def run_sharded_campaign(
             temp_root = tempfile.mkdtemp(prefix="dpmr-shards-")
             fabric_root = temp_root
 
-        if config.compiled and states is not None and misses:
+        if config.compiled and states is not None:
             _warm_compiled_bases(states)
 
         table = LeaseTable(config.shards, config.lease_items)
@@ -305,7 +311,7 @@ def run_sharded_campaign(
                 len(items),
             )
 
-        # -- merged schema-5 manifest ------------------------------------
+        # -- merged manifest ---------------------------------------------
         merged = merge_manifests(m for _, m in lease_manifests)
         manifest = merged
         manifest.mode = "campaign"
@@ -322,13 +328,13 @@ def run_sharded_campaign(
         manifest.trace_path = None
         manifest.counters_enabled = False
         manifest.engine = "compiled" if config.compiled else "interp"
-        manifest.incremental = states is not None
+        manifest.incremental = incremental and bool(items)
         manifest.timeout_factor = config.timeout_factor
         manifest.n_jobs = len(jobs)
         manifest.n_items = len(items)
         manifest.n_records = len(records)
         manifest.python = platform.python_version()
-        manifest.cpu_count = os.cpu_count() or 1
+        manifest.cpu_count = usable_cpu_count()
         if not manifest.jobs:
             manifest.jobs = _job_manifests(jobs, states)
         manifest.shared_hits = 0
@@ -384,9 +390,6 @@ def run_sharded_campaign(
             r.result.counters for r in records
         )
         manifest.wall_s = time.monotonic() - started
-        out_path = config.effective_manifest_path()
-        if out_path is not None:
-            manifest.write(out_path)
         return records, manifest
     finally:
         set_inline_runtime(inline_prev)

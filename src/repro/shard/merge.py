@@ -1,4 +1,4 @@
-"""Merging per-shard :class:`RunManifest`s into one schema-5 manifest.
+"""Merging per-shard :class:`RunManifest`s into one merged manifest.
 
 A sharded campaign produces one manifest per completed lease (the shard
 worker runs each lease through the ordinary executor, which already
@@ -13,8 +13,9 @@ lease completion order — the property suite
 and total preservation over arbitrary permutations and partitions:
 
 * **summed**: item/record counts, store traffic, retries, restarts,
-  timeouts, codegen traffic, lease counters, ``status_counts`` and
-  ``counter_totals`` (key-wise), per-job cache telemetry;
+  timeouts, codegen traffic, build-table traffic, lease counters,
+  ``status_counts`` and ``counter_totals`` (key-wise), per-job cache
+  telemetry;
 * **unioned**: ``quarantined`` (deduplicated, sorted), ``jobs`` (keyed by
   ``(workload, kind)``), ``shards`` (keyed by shard id, fields summed);
 * **maxed**: ``wall_s`` (leases overlap in time), worker counts,
@@ -57,6 +58,13 @@ _SUMMED = (
     "lease_reassignments",
     "lease_expiries",
     "store_synced",
+    "golden_built",
+    "golden_served",
+    "base_built",
+    "base_served",
+    "site_built",
+    "site_served",
+    "builds_evicted",
 )
 
 #: Fields combined by ``max`` (0 / 0.0 is the identity).

@@ -73,7 +73,7 @@ def shard_worker(wid: int, task_conn, result_conn) -> None:
     exceptions are reported as failures, not deaths), but the supervised
     *item* is a whole lease.  The success payload is ``(wid,
     manifest_dict)`` — the lease's full single-node run manifest, which the
-    coordinator merges into the campaign's schema-5 manifest.
+    coordinator merges into the campaign's merged manifest.
     """
     from ..eval.parallel import run_campaign_jobs_with_manifest
 

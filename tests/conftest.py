@@ -15,6 +15,7 @@ settings.register_profile(
 )
 settings.load_profile("repro")
 
+from repro.eval.builds import reset_build_table
 from repro.ir import (
     INT32,
     INT64,
@@ -118,6 +119,16 @@ def build_overflow_module(n_alloc: int, n_write: int):
     b.ret(b.i32(0))
     verify_module(mb.module)
     return mb.module
+
+
+@pytest.fixture(autouse=True)
+def cold_build_table():
+    """Each test builds from an empty build table, as a fresh process would:
+    tests that assert on cold-build behaviour (transform cache traffic,
+    codegen written to a store) must not be served builds that an earlier
+    test happened to make.  Sharing *within* a test is what
+    ``test_build_table.py`` exercises."""
+    reset_build_table()
 
 
 @pytest.fixture

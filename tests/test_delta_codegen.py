@@ -25,6 +25,7 @@ import pytest
 
 from repro.apps import app_factory
 from repro.eval.api import run
+from repro.eval.builds import reset_build_table
 from repro.eval.config import ExecConfig
 from repro.eval.experiment import WorkloadHarness
 from repro.eval.variants import Variant, diversity_variants
@@ -197,12 +198,13 @@ def test_campaign_store_populates_and_serves_code_cache(tmp_path):
         assert text.startswith("# sha256:")
     # The executor restores the previous persist dir on exit.
     assert C.persistent_code_cache_dir() is None
-    # Simulate a fresh process: drop delta bases, delta cache, and the
-    # content-addressed code cache, and invalidate stored *results* so the
-    # runs actually re-execute (the result store would otherwise satisfy
-    # everything without compiling at all).
+    # Simulate a fresh process: drop delta bases, delta cache, the
+    # content-addressed code cache and the build table, and invalidate
+    # stored *results* so the runs actually re-execute (the result store
+    # would otherwise satisfy everything without compiling at all).
     C.reset_codegen_caches()
     C._CODE_CACHE.clear()
+    reset_build_table()
     for sub in store.iterdir():
         if sub.is_dir() and sub.name != "codegen":
             for entry in sub.iterdir():
@@ -296,17 +298,17 @@ def test_cow_release_unmaps_before_gc():
 def test_single_core_machine_forces_serial_with_reason(monkeypatch):
     from repro.eval import parallel as P
 
-    monkeypatch.setattr(P.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(P, "usable_cpu_count", lambda: 1)
     effective, reason, fallback = P._worker_decision(8, 1000)
     assert effective == 1
     assert reason == "serial"
-    assert fallback == "single-core machine (os.cpu_count() <= 1)"
+    assert fallback == "single usable core"
 
 
 def test_multi_core_machine_still_parallelizes(monkeypatch):
     from repro.eval import parallel as P
 
-    monkeypatch.setattr(P.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(P, "usable_cpu_count", lambda: 8)
     if not P._fork_available():  # pragma: no cover - non-fork platforms
         pytest.skip("fork unavailable")
     effective, reason, fallback = P._worker_decision(4, 1000)

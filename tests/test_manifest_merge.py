@@ -129,6 +129,13 @@ _SUMMED = (
     "lease_reassignments",
     "lease_expiries",
     "store_synced",
+    "golden_built",
+    "golden_served",
+    "base_built",
+    "base_served",
+    "site_built",
+    "site_served",
+    "builds_evicted",
 )
 
 

@@ -130,13 +130,13 @@ class TestEffectiveWorkers:
         assert effective_workers(0, 8) == 1
 
     def test_workers_scale_with_available_work(self):
-        with mock.patch("os.cpu_count", return_value=8):
+        with mock.patch("repro.eval.parallel.usable_cpu_count", return_value=8):
             assert effective_workers(MIN_ITEMS_PER_WORKER * 2, 4) == 2
             assert effective_workers(MIN_ITEMS_PER_WORKER * 4, 4) == 4
             assert effective_workers(MIN_ITEMS_PER_WORKER * 100, 4) == 4
 
     def test_workers_capped_by_cpu_count(self):
-        with mock.patch("os.cpu_count", return_value=2):
+        with mock.patch("repro.eval.parallel.usable_cpu_count", return_value=2):
             assert effective_workers(MIN_ITEMS_PER_WORKER * 100, 8) == 2
 
     def test_fork_path_still_byte_identical_when_forced(self, harness, variants):

@@ -109,7 +109,7 @@ class TestShardedIdentity:
     def test_merged_manifest_records_the_fabric(self, harness, variants):
         res = run(harness, variants, kind=KIND, config=ExecConfig(shards=3))
         m = res.manifest
-        assert m.schema == MANIFEST_SCHEMA == 5
+        assert m.schema == MANIFEST_SCHEMA == 6
         assert m.n_shards == 3
         assert m.lease_grants > 0
         assert m.lease_reassignments == 0
