@@ -26,12 +26,11 @@ Knobs (all optional):
                           on the compiled tier: variant-inlined DPMR hooks in
                           generated code plus instruction-granular delta
                           transforms (on by default; bit-identical records)
-``DPMR_SHARDS``           worker *nodes* for the shard fabric (default 1 =
-                          single-node; N>1 partitions the campaign tuple
-                          space across N processes simulating machines, each
-                          with its own supervised pool and store directory,
-                          and merges the results — bit-identical records)
 ========================  =====================================================
+
+``DPMR_SHARDS`` is retired with the shard fabric it selected: set to
+anything but ``1`` it raises ``ValueError`` pointing at ``DPMR_JOBS``
+rather than silently running serially.
 
 ``ExecConfig`` is frozen: derive variations with :func:`dataclasses.replace`.
 """
@@ -57,6 +56,7 @@ RETRIES_ENV_VAR = "DPMR_RETRIES"
 EXP_TIMEOUT_ENV_VAR = "DPMR_EXP_TIMEOUT"
 COMPILE_ENV_VAR = "DPMR_COMPILE"
 INLINE_RT_ENV_VAR = "DPMR_INLINE_RT"
+#: retired: rejected unless unset or 1 (see :meth:`ExecConfig.from_env`).
 SHARDS_ENV_VAR = "DPMR_SHARDS"
 
 #: infrastructure retries per experiment before its site is quarantined.
@@ -146,27 +146,18 @@ class ExecConfig:
     #: ``DPMR_INLINE_RT=0`` restores the call_intrinsic + whole-function
     #: re-transform behaviour of the plain compiled tier.
     inline_rt: bool = True
-    #: worker nodes for the shard fabric (``repro.shard``).  1 (the default)
-    #: runs single-node; N>1 partitions the campaign tuple space across N
-    #: processes simulating machines — each with its own supervised pool and
-    #: shard-local store — and merges the results back by content address.
-    #: Bit-transparent like ``compiled`` (merged records are signature-
-    #: identical to the single-node run), so it is likewise excluded from
-    #: store fingerprints.
-    shards: int = 1
-    #: wall-clock budget (seconds) per tuple-batch lease before the
-    #: coordinator revokes it and re-leases the batch elsewhere; 0 disables
-    #: the budget (not environment-exposed; chaos tests shrink it).
-    lease_timeout_s: float = 0.0
-    #: experiment tuples per lease; 0 sizes batches automatically from the
-    #: campaign size and shard count (not environment-exposed).
-    lease_items: int = 0
 
     @classmethod
     def from_env(cls, env: Optional[Mapping[str, str]] = None) -> "ExecConfig":
         """The configuration the environment asks for (see module docstring)."""
         if env is None:
             env = os.environ
+        shards = env.get(SHARDS_ENV_VAR, "").strip()
+        if shards not in ("", "1"):
+            raise ValueError(
+                f"{SHARDS_ENV_VAR}={shards!r} is no longer supported: the shard "
+                f"fabric was removed; set {JOBS_ENV_VAR}=N for N worker processes"
+            )
         trace_path = env.get(TRACE_ENV_VAR, "").strip() or None
         raw_events = env.get(TRACE_EVENTS_ENV_VAR, "").strip()
         trace_events: Optional[Tuple[str, ...]] = None
@@ -189,7 +180,6 @@ class ExecConfig:
             exp_timeout_s=max(0.0, _parse_float(env, EXP_TIMEOUT_ENV_VAR, 0.0)),
             compiled=_parse_flag(env, COMPILE_ENV_VAR, True),
             inline_rt=_parse_flag(env, INLINE_RT_ENV_VAR, True),
-            shards=max(1, _parse_int(env, SHARDS_ENV_VAR, 1)),
         )
 
     # -- derived ------------------------------------------------------------

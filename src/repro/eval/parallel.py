@@ -713,7 +713,6 @@ def _run_serial_supervised(
 def run_campaign_jobs_with_manifest(
     jobs: Sequence[CampaignJob],
     config: Optional[ExecConfig] = None,
-    build_states: Optional[List[Optional[JobBuildState]]] = None,
     tracer=None,
     items: Optional[Sequence[_Item]] = None,
     on_record: Optional[Callable[[_Item, ExperimentRecord, str], None]] = None,
@@ -750,56 +749,6 @@ def run_campaign_jobs_with_manifest(
       (serial) and dispatches (supervised workers); when set, remaining
       items are abandoned and only finished records are returned.
     """
-    config = config if config is not None else ExecConfig.from_env()
-    # -- shard fabric routing (DPMR_SHARDS / ExecConfig.shards) ---------
-    # N>1 hands the whole invocation to the shard coordinator, which
-    # partitions the tuple space across N worker nodes and re-enters this
-    # function (with shards=1) inside each node.  Observability and
-    # fork-less platforms fall back to single-node execution with a logged
-    # reason — never silently.
-    sharded = False
-    if config.shards > 1:
-        from ..shard.coordinator import run_sharded_campaign, sharding_fallback
-
-        shard_fallback = sharding_fallback(config, tracer)
-        sharded = shard_fallback is None
-        if not sharded:
-            logger.warning(
-                "campaign requested %d shards but runs single-node: %s",
-                config.shards,
-                shard_fallback,
-            )
-    with build_scope() as builds:
-        if sharded:
-            records, manifest = run_sharded_campaign(
-                jobs,
-                config=config,
-                build_states=build_states,
-                items=items,
-                on_record=on_record,
-                cancel=cancel,
-            )
-        else:
-            records, manifest = _run_single_node(
-                list(jobs), config, build_states, tracer, items, on_record, cancel
-            )
-    builds.add_to(manifest)
-    out_path = config.effective_manifest_path()
-    if out_path is not None:
-        manifest.write(out_path)
-    return records, manifest
-
-
-def _run_single_node(
-    jobs: List[CampaignJob],
-    config: ExecConfig,
-    build_states: _States,
-    tracer,
-    items: Optional[Sequence[_Item]],
-    on_record,
-    cancel,
-) -> Tuple[List[ExperimentRecord], RunManifest]:
-    """The body of :func:`run_campaign_jobs_with_manifest` on one node."""
     global _WORKER_JOBS, _WORKER_STATES, _WORKER_TRACER, _WORKER_COUNTERS
     global _WORKER_USE_COMPILED
     from ..machine.compile import (
@@ -807,10 +756,10 @@ def _run_single_node(
         set_inline_runtime,
         set_persistent_code_cache,
     )
-    from ..obs.counters import total_counters
     from ..obs.tracer import real_tracer
 
-    incremental = config.incremental or build_states is not None
+    config = config if config is not None else ExecConfig.from_env()
+    jobs = list(jobs)
     items = _all_items(jobs) if items is None else [tuple(i) for i in items]
     own_tracer = tracer is None
     if own_tracer:
@@ -827,164 +776,168 @@ def _run_single_node(
     persist_prev: Optional[str] = None
     persist_set = False
     stats = SupervisionStats()
-    try:
-        # -- persistent store lookup, before anything is built -----------
-        store = config.make_store()
-        cached: Dict[_Item, ExperimentRecord] = {}
-        keys: Dict[_Item, str] = {}
-        key_fields: Dict[_Item, Dict] = {}
-        if store is not None and items:
-            cached, keys, key_fields = _store_index(jobs, items, config, store)
-        misses = [item for item in items if item not in cached]
-        if on_record is not None:
+    with build_scope() as builds:
+        try:
+            # -- persistent store lookup, before anything is built -------
+            store = config.make_store()
+            cached: Dict[_Item, ExperimentRecord] = {}
+            keys: Dict[_Item, str] = {}
+            key_fields: Dict[_Item, Dict] = {}
+            if store is not None and items:
+                cached, keys, key_fields = _store_index(jobs, items, config, store)
+            misses = [item for item in items if item not in cached]
+            if on_record is not None:
+                for item in items:
+                    record = cached.get(item)
+                    if record is not None:
+                        on_record(item, record, "store")
+            on_result = None
+            if store is not None or on_record is not None:
+
+                def on_result(item, record):  # noqa: E731 — composed callback
+                    if store is not None:
+                        store.put(keys[item], record, key_fields.get(item))
+                    if on_record is not None:
+                        on_record(item, record, "run")
+
+            # Build views only for jobs with work left: a store-warm
+            # campaign transforms nothing.
+            states: _States = None
+            if config.incremental and misses:
+                states = _build_states_for(jobs, misses)
+            cache_before = [
+                s.cache_stats() if s else (0, 0, 0) for s in states or ()
+            ]
+
+            if not items:
+                # An explicit decision, not a silent no-op: a service-side
+                # expansion bug that produces zero tuples must be visible
+                # in the manifest.
+                effective, reason, fallback = 1, "empty_campaign", None
+                logger.warning(
+                    "campaign over %d job(s) expanded to zero experiment tuples",
+                    len(jobs),
+                )
+            elif not misses:
+                effective, reason, fallback = (
+                    1,
+                    "all experiments served from store",
+                    None,
+                )
+            else:
+                effective, reason, fallback = _worker_decision(
+                    config.jobs, len(misses)
+                )
+            if fallback is not None:
+                logger.warning(
+                    "campaign requested %d workers but runs serially: %s",
+                    config.jobs,
+                    fallback,
+                )
+            manifest = RunManifest(
+                mode="campaign",
+                requested_jobs=config.jobs,
+                effective_jobs=effective,
+                worker_reason=reason,
+                serial_fallback=fallback,
+                incremental=config.incremental and bool(items),
+                trace_path=(
+                    config.trace_path if (own_tracer and tracer is not None) else None
+                ),
+                counters_enabled=counters,
+                engine="compiled" if use_compiled else "interp",
+                timeout_factor=config.timeout_factor,
+                n_jobs=len(jobs),
+                n_items=len(items),
+            )
+            # With a store configured, generated per-site source persists
+            # next to the results (<store>/codegen), so warm-resume
+            # campaigns skip codegen entirely; restored in the finally.
+            if use_compiled and store is not None:
+                persist_prev = set_persistent_code_cache(
+                    os.path.join(store.root, "codegen")
+                )
+                persist_set = True
+            if use_compiled and states is not None:
+                _warm_compiled_bases(states)
+            # Coordinator-process snapshot: forked workers' codegen stats do
+            # not cross the process boundary, so the deltas below cover
+            # serial runs and the coordinator's share of parallel ones
+            # (still enough to show the content-addressed cache working
+            # across a campaign).
+            cg_before = codegen_stats()
+            started = time.monotonic()
+            _COMPILED.clear()
+            if effective <= 1:
+                try:
+                    computed = _run_serial_supervised(
+                        jobs,
+                        states,
+                        misses,
+                        config,
+                        tracer,
+                        counters,
+                        use_compiled,
+                        stats,
+                        on_result,
+                        cancel=cancel,
+                    )
+                finally:
+                    _COMPILED.clear()
+            else:
+                _WORKER_JOBS = jobs
+                _WORKER_STATES = states
+                _WORKER_TRACER = tracer
+                _WORKER_COUNTERS = counters
+                _WORKER_USE_COMPILED = use_compiled
+                try:
+                    supervisor = WorkerSupervisor(
+                        multiprocessing.get_context("fork"),
+                        _supervised_worker,
+                        effective,
+                        retries=config.retries,
+                        exp_timeout_s=config.exp_timeout_s,
+                        backoff_s=config.retry_backoff_s,
+                        site_of=lambda item: item[:2],
+                        on_result=on_result,
+                        cancel=cancel,
+                    )
+                    computed = supervisor.run(misses)
+                    stats = supervisor.stats
+                finally:
+                    _WORKER_JOBS = None
+                    _WORKER_STATES = None
+                    _WORKER_TRACER = None
+                    _WORKER_COUNTERS = False
+                    _WORKER_USE_COMPILED = False
+            cancelled = cancel is not None and cancel.is_set()
+            records = []
             for item in items:
+                if item[:2] in stats.quarantined:
+                    continue
                 record = cached.get(item)
-                if record is not None:
-                    on_record(item, record, "store")
-        on_result = None
-        if store is not None or on_record is not None:
-
-            def on_result(item, record):  # noqa: E731 — composed callback
-                if store is not None:
-                    store.put(keys[item], record, key_fields.get(item))
-                if on_record is not None:
-                    on_record(item, record, "run")
-
-        # Build views only for jobs with work left: a store-warm campaign
-        # transforms nothing.
-        states: _States = None
-        if incremental and misses:
-            states = (
-                build_states
-                if build_states is not None
-                else _build_states_for(jobs, misses)
-            )
-        cache_before = [s.cache_stats() if s else (0, 0, 0) for s in states or ()]
-
-        if not items:
-            # An explicit decision, not a silent no-op: a service-side
-            # expansion bug that produces zero tuples must be visible in
-            # the manifest.
-            effective, reason, fallback = 1, "empty_campaign", None
-            logger.warning(
-                "campaign over %d job(s) expanded to zero experiment tuples",
-                len(jobs),
-            )
-        elif not misses:
-            effective, reason, fallback = 1, "all experiments served from store", None
-        else:
-            effective, reason, fallback = _worker_decision(config.jobs, len(misses))
-        if fallback is not None:
-            logger.warning(
-                "campaign requested %d workers but runs serially: %s",
-                config.jobs,
-                fallback,
-            )
-        manifest = RunManifest(
-            mode="campaign",
-            requested_jobs=config.jobs,
-            effective_jobs=effective,
-            worker_reason=reason,
-            serial_fallback=fallback,
-            incremental=incremental and bool(items),
-            trace_path=(
-                config.trace_path if (own_tracer and tracer is not None) else None
-            ),
-            counters_enabled=counters,
-            engine="compiled" if use_compiled else "interp",
-            timeout_factor=config.timeout_factor,
-            n_jobs=len(jobs),
-            n_items=len(items),
-        )
-        # With a store configured, generated per-site source persists next
-        # to the results (<store>/codegen), so warm-resume campaigns skip
-        # codegen entirely; restored in the finally below.
-        if use_compiled and store is not None:
-            persist_prev = set_persistent_code_cache(
-                os.path.join(store.root, "codegen")
-            )
-            persist_set = True
-        if use_compiled and states is not None:
-            _warm_compiled_bases(states)
-        # Coordinator-process snapshot: forked workers' codegen stats do not
-        # cross the process boundary, so the deltas below cover serial runs
-        # and the coordinator's share of parallel ones (still enough to show
-        # the content-addressed cache working across a campaign).
-        cg_before = codegen_stats()
-        started = time.monotonic()
-        if effective <= 1:
-            _COMPILED.clear()
-            try:
-                computed = _run_serial_supervised(
-                    jobs,
-                    states,
-                    misses,
-                    config,
-                    tracer,
-                    counters,
-                    use_compiled,
-                    stats,
-                    on_result,
-                    cancel=cancel,
+                if record is None:
+                    record = computed.get(item)
+                if record is None:
+                    if cancelled:
+                        continue  # abandoned by cancellation, not an invariant hole
+                    raise RuntimeError(
+                        f"experiment {item} neither computed nor quarantined "
+                        "(supervisor invariant violated)"
+                    )
+                records.append(record)
+            if cancelled:
+                logger.warning(
+                    "campaign cancelled: %d of %d experiment tuple(s) finished",
+                    len(records),
+                    len(items),
                 )
-            finally:
-                _COMPILED.clear()
-        else:
-            ctx = multiprocessing.get_context("fork")
-            _WORKER_JOBS = jobs
-            _WORKER_STATES = states
-            _WORKER_TRACER = tracer
-            _WORKER_COUNTERS = counters
-            _WORKER_USE_COMPILED = use_compiled
-            _COMPILED.clear()
-            try:
-                supervisor = WorkerSupervisor(
-                    ctx,
-                    _supervised_worker,
-                    effective,
-                    retries=config.retries,
-                    exp_timeout_s=config.exp_timeout_s,
-                    backoff_s=config.retry_backoff_s,
-                    site_of=lambda item: item[:2],
-                    on_result=on_result,
-                    cancel=cancel,
-                )
-                computed = supervisor.run(misses)
-                stats = supervisor.stats
-            finally:
-                _WORKER_JOBS = None
-                _WORKER_STATES = None
-                _WORKER_TRACER = None
-                _WORKER_COUNTERS = False
-                _WORKER_USE_COMPILED = False
-        cancelled = cancel is not None and cancel.is_set()
-        records = []
-        for item in items:
-            if item[:2] in stats.quarantined:
-                continue
-            record = cached.get(item)
-            if record is None:
-                record = computed.get(item)
-            if record is None:
-                if cancelled:
-                    continue  # abandoned by cancellation, not an invariant hole
-                raise RuntimeError(
-                    f"experiment {item} neither computed nor quarantined "
-                    "(supervisor invariant violated)"
-                )
-            records.append(record)
-        if cancelled:
-            logger.warning(
-                "campaign cancelled: %d of %d experiment tuple(s) finished",
-                len(records),
-                len(items),
-            )
-    finally:
-        set_inline_runtime(inline_prev)
-        if persist_set:
-            set_persistent_code_cache(persist_prev)
-        if own_tracer and tracer is not None:
-            tracer.close()
+        finally:
+            set_inline_runtime(inline_prev)
+            if persist_set:
+                set_persistent_code_cache(persist_prev)
+            if own_tracer and tracer is not None:
+                tracer.close()
 
     manifest.wall_s = time.monotonic() - started
     cg_after = codegen_stats()
@@ -992,17 +945,35 @@ def _run_single_node(
     manifest.codegen_misses = cg_after["misses"] - cg_before["misses"]
     manifest.n_records = len(records)
     manifest.jobs = _job_manifests(jobs, states, cache_before)
+    builds.add_to(manifest)
+    _record_outcome(manifest, jobs, records, stats, store)
+    out_path = config.effective_manifest_path()
+    if out_path is not None:
+        manifest.write(out_path)
+    return records, manifest
+
+
+def _record_outcome(
+    manifest: RunManifest,
+    jobs: List[CampaignJob],
+    records: List[ExperimentRecord],
+    stats: SupervisionStats,
+    store,
+) -> None:
+    """Resilience events, store traffic and record aggregates → manifest."""
+    from ..obs.counters import total_counters
+
     manifest.retries = stats.retries
     manifest.worker_restarts = stats.worker_restarts
     manifest.exp_timeouts = stats.exp_timeouts
-    for (ji, si), (attempts, reason_q) in sorted(stats.quarantined.items()):
+    for (ji, si), (attempts, reason) in sorted(stats.quarantined.items()):
         manifest.quarantined.append(
             QuarantineRecord(
                 workload=jobs[ji].workload,
                 kind=jobs[ji].kind,
                 site=jobs[ji].sites[si].site_id,
                 attempts=attempts,
-                reason=reason_q,
+                reason=reason,
             )
         )
     if store is not None:
@@ -1015,12 +986,10 @@ def _run_single_node(
         s = r.result.status.value
         manifest.status_counts[s] = manifest.status_counts.get(s, 0) + 1
     manifest.counter_totals = total_counters(r.result.counters for r in records)
-    return records, manifest
 
 
 def run_campaign_jobs(
     jobs: Sequence[CampaignJob],
-    build_states: Optional[List[JobBuildState]] = None,
     config: Optional[ExecConfig] = None,
 ) -> List[ExperimentRecord]:
     """Run every experiment of every job; results in serial order.
@@ -1031,9 +1000,7 @@ def run_campaign_jobs(
     ``processes=``/``incremental=`` keyword aliases are gone — see the
     README migration notes.
     """
-    records, _ = run_campaign_jobs_with_manifest(
-        jobs, config=config, build_states=build_states
-    )
+    records, _ = run_campaign_jobs_with_manifest(jobs, config=config)
     return records
 
 

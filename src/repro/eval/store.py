@@ -71,9 +71,8 @@ def exec_fingerprint(config: ExecConfig) -> str:
 
     Only ``timeout_factor`` can change what a record *contains*; worker
     count, incremental builds, tracing, the compiled execution tier
-    (``DPMR_COMPILE``), the shard fabric (``DPMR_SHARDS``), and the
-    resilience knobs are all proven bit-transparent and excluded so their
-    variation never misses.
+    (``DPMR_COMPILE``), and the resilience knobs are all proven
+    bit-transparent and excluded so their variation never misses.
     """
     payload = json.dumps(
         {"timeout_factor": config.timeout_factor}, sort_keys=True

@@ -8,6 +8,11 @@ pool with individually supervised worker processes:
 * **per-item dispatch** — each worker holds at most one experiment tuple,
   so the parent always knows exactly which item a dead or stuck worker
   was running;
+* **site affinity** — a free worker takes the next tuple of the site it
+  last ran, else the first tuple of a site no other worker holds, else
+  any eligible tuple (so the tail still balances).  A site's tuples share
+  one faulty module and its generated code, so keeping them on one worker
+  builds each once instead of once per worker;
 * **crash detection** — a worker that dies (killed, segfaulted, OOMed)
   while holding an item is detected by liveness polling and end-of-file
   on its result pipe, respawned (a fresh fork inherits the warm build
@@ -49,7 +54,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _conn_wait
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 logger = logging.getLogger("repro.eval.supervise")
 
@@ -72,9 +77,10 @@ class SupervisionStats:
 
 
 class _Slot:
-    """One supervised worker: process, its pipe ends, and current item."""
+    """One supervised worker: process, its pipe ends, current item, and the
+    site it last ran (kept across respawns)."""
 
-    __slots__ = ("wid", "proc", "task_w", "result_r", "item", "deadline")
+    __slots__ = ("wid", "proc", "task_w", "result_r", "item", "deadline", "site")
 
     def __init__(self, wid: int):
         self.wid = wid
@@ -83,6 +89,7 @@ class _Slot:
         self.result_r = None
         self.item = None
         self.deadline: Optional[float] = None
+        self.site = None
 
 
 class WorkerSupervisor:
@@ -169,16 +176,21 @@ class WorkerSupervisor:
         may still be present if they completed before the quarantine
         decision; the caller filters by ``stats.quarantined``).
         """
-        #: (item, not_before) in dispatch order; retries go to the front.
-        pending = deque((item, 0.0) for item in items)
-        self._pending = pending
+        #: site → its pending items in dispatch order (sites in order of
+        #: first appearance; a site leaves when its queue empties).
+        #: Retries go to the front of their site's queue.
+        self._queues: Dict[Hashable, Deque[Hashable]] = {}
+        for item in items:
+            self._queues.setdefault(self.site_of(item), deque()).append(item)
+        #: queued retries → when their backoff ends.
+        self._retry_at: Dict[Hashable, float] = {}
         self._attempts: Dict[Hashable, int] = {}
         self._results: Dict[Hashable, object] = {}
         self._slots: List[_Slot] = [
             self._spawn(wid) for wid in range(self.n_workers)
         ]
         try:
-            while pending or any(s.item is not None for s in self._slots):
+            while self._queues or any(s.item is not None for s in self._slots):
                 if self.cancel is not None and self.cancel.is_set():
                     break
                 self._dispatch()
@@ -254,29 +266,20 @@ class WorkerSupervisor:
                 return msgs
 
     def _dispatch(self) -> None:
-        pending = self._pending
         if self.cancel is not None and self.cancel.is_set():
             return
         now = time.monotonic()
         for slot in self._slots:
-            if slot.item is not None or not pending:
+            if slot.item is not None or not self._queues:
                 continue
             if not slot.proc.is_alive():
                 # died idle (e.g. killed between items): salvage + respawn.
                 self._worker_died(slot, "worker died idle")
-                if slot.item is not None or not pending:
+                if slot.item is not None or not self._queues:
                     continue
-            chosen = None
-            for i, (item, not_before) in enumerate(pending):
-                if self.site_of(item) in self.stats.quarantined:
-                    continue
-                if not_before <= now:
-                    chosen = i
-                    break
-            if chosen is None:
+            item = self._take(slot, now)
+            if item is None:
                 continue
-            item, _ = pending[chosen]
-            del pending[chosen]
             slot.item = item
             slot.deadline = (
                 now + self.exp_timeout_s if self.exp_timeout_s > 0 else None
@@ -285,21 +288,49 @@ class WorkerSupervisor:
                 slot.task_w.send(item)
             except (BrokenPipeError, OSError):
                 self._worker_died(slot, "worker died before receiving work")
-        # prune items of quarantined sites so the loop can terminate.
-        self._prune_quarantined()
 
-    def _prune_quarantined(self) -> None:
-        if not self.stats.quarantined:
-            return
-        pending = self._pending
-        keep = [
-            (item, nb)
-            for item, nb in pending
-            if self.site_of(item) not in self.stats.quarantined
-        ]
-        if len(keep) != len(pending):
-            pending.clear()
-            pending.extend(keep)
+    def _take(self, slot: _Slot, now: float) -> Optional[Hashable]:
+        """Dequeue the item ``slot`` runs next (None: nothing is eligible).
+
+        In order: the next tuple of the site the slot last ran; else the
+        first tuple of a site no other worker holds; else the first
+        eligible tuple of any site.  Only sites whose items are all in
+        retry backoff and the ≤ ``n_workers - 1`` sites other workers hold
+        are passed over, so the cost does not grow with the pending count.
+        """
+        site, index = slot.site, None
+        if site in self._queues:
+            index = self._first_ready(self._queues[site], now)
+        if index is None:
+            held = {s.site for s in self._slots if s is not slot}
+            site = None
+            for candidate, queue in self._queues.items():
+                i = self._first_ready(queue, now)
+                if i is None:
+                    continue
+                if candidate not in held:
+                    site, index = candidate, i
+                    break
+                if site is None:  # the fallback, unless an unheld site follows
+                    site, index = candidate, i
+            if site is None:
+                return None
+        queue = self._queues[site]
+        item = queue[index]
+        del queue[index]
+        if not queue:
+            del self._queues[site]
+        self._retry_at.pop(item, None)
+        slot.site = site
+        return item
+
+    def _first_ready(self, queue: Deque[Hashable], now: float) -> Optional[int]:
+        """Index of the first item past its backoff.  Retries sit at the
+        front of a queue, so this looks at most one item past them."""
+        for i, item in enumerate(queue):
+            if self._retry_at.get(item, 0.0) <= now:
+                return i
+        return None
 
     def _next_wait(self) -> float:
         now = time.monotonic()
@@ -307,7 +338,7 @@ class WorkerSupervisor:
         for slot in self._slots:
             if slot.deadline is not None:
                 wait = min(wait, max(slot.deadline - now, 0.005))
-        for _, not_before in self._pending:
+        for not_before in self._retry_at.values():
             if not_before > now:
                 wait = min(wait, max(not_before - now, 0.005))
         return wait
@@ -343,7 +374,8 @@ class WorkerSupervisor:
                 reason,
             )
             self.stats.quarantined[site] = (n, reason)
-            self._prune_quarantined()
+            for queued in self._queues.pop(site, ()):
+                self._retry_at.pop(queued, None)
             return
         self.stats.retries += 1
         delay = self.backoff_s * (2 ** (n - 1))
@@ -355,19 +387,21 @@ class WorkerSupervisor:
             delay,
             reason,
         )
-        self._pending.appendleft((item, time.monotonic() + delay))
+        self._retry_at[item] = time.monotonic() + delay
+        self._queues.setdefault(site, deque()).appendleft(item)
 
     def _is_tracked(self, item: Hashable) -> bool:
-        if item in self._results:
-            return True
-        return any(queued == item for queued, _ in self._pending)
+        # an item can only be queued again as a retry.
+        return item in self._results or item in self._retry_at
 
     def _drop_pending(self, item: Hashable) -> None:
-        pending = self._pending
-        for i, (queued, _) in enumerate(pending):
-            if queued == item:
-                del pending[i]
-                return
+        if self._retry_at.pop(item, None) is None:
+            return
+        site = self.site_of(item)
+        queue = self._queues[site]
+        queue.remove(item)
+        if not queue:
+            del self._queues[site]
 
     def _shutdown(self) -> None:
         for slot in self._slots:

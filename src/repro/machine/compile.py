@@ -193,7 +193,7 @@ _STAMP_CACHE_MAX = 16384
 #: whole-program reuse: (ctx_key, spec repr, per-function code identity)
 #: → CompiledProgram.  Code identity pins the exact behaviour of every
 #: member function, so a campaign re-running a (site, variant) pair —
-#: repeated reps, resumed shards — skips namespace assembly and exec
+#: repeated reps, resumed campaigns — skips namespace assembly and exec
 #: entirely.  Entries hold their code objects strongly (via the compiled
 #: function objects), keeping the id()-based identity tokens stable.
 _PROGRAM_CACHE: Dict[Tuple, "CompiledProgram"] = {}

@@ -31,7 +31,6 @@ from .manifest import (
     JobManifest,
     QuarantineRecord,
     RunManifest,
-    ShardManifest,
 )
 from .replay import TracedRun, load_runs, read_events, runs_from_events, t2d_by_run
 from .tracer import CollectingTracer, JsonlTracer, NullTracer, Tracer, real_tracer
@@ -46,7 +45,6 @@ __all__ = [
     "QuarantineRecord",
     "OPCODE_CLASSES",
     "RunManifest",
-    "ShardManifest",
     "TracedRun",
     "Tracer",
     "load_runs",

@@ -21,7 +21,18 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 #: Manifest schema version; bump on incompatible shape changes.
-MANIFEST_SCHEMA = 6
+MANIFEST_SCHEMA = 7
+
+#: Keys of the shard fabric (schemas 5–6), removed in schema 7.  Older
+#: manifests still load: :meth:`RunManifest.from_dict` drops exactly these.
+_RETIRED_KEYS = (
+    "n_shards",
+    "lease_grants",
+    "lease_reassignments",
+    "lease_expiries",
+    "store_synced",
+    "shards",
+)
 
 
 def usable_cpu_count() -> int:
@@ -49,31 +60,6 @@ class QuarantineRecord:
     site: str
     attempts: int
     reason: str
-
-
-@dataclass
-class ShardManifest:
-    """Per-shard provenance of one sharded campaign (schema 5).
-
-    One entry per worker node that executed at least one lease.  The
-    coordinator aggregates these from the per-lease manifests the shard
-    workers return, so a merged manifest records *which* shard ran how
-    much of the tuple space — the audit trail behind the merge-identity
-    guarantee.
-    """
-
-    shard: int
-    #: tuple-batch leases this shard completed.
-    leases: int = 0
-    #: experiment records this shard produced (store hits it served count
-    #: toward its records, exactly like a single-node run's ``n_records``).
-    n_records: int = 0
-    #: entries this shard wrote into its shard-local store.
-    store_writes: int = 0
-    #: inner-pool retries within this shard's leases.
-    retries: int = 0
-    #: summed wall-clock of this shard's leases (overlaps across shards).
-    wall_s: float = 0.0
 
 
 @dataclass
@@ -145,19 +131,6 @@ class RunManifest:
     exp_timeouts: int = 0
     #: sites excluded after exhausting retries (never silent).
     quarantined: List[QuarantineRecord] = field(default_factory=list)
-    # -- shard fabric (schema 5; all-zero/empty for single-node runs) -------
-    #: worker nodes the campaign was partitioned across (0: not sharded).
-    n_shards: int = 0
-    #: tuple-batch leases granted by the coordinator (first grants only).
-    lease_grants: int = 0
-    #: leases re-granted after a shard worker died or was killed mid-lease.
-    lease_reassignments: int = 0
-    #: leases revoked because a shard exceeded the lease wall budget.
-    lease_expiries: int = 0
-    #: shard-local store entries synced into the coordinator store.
-    store_synced: int = 0
-    #: per-shard provenance (one entry per worker node that ran a lease).
-    shards: List[ShardManifest] = field(default_factory=list)
     # -- build table (schema 6; repro.eval.builds) --------------------------
     #: golden runs, base transforms and finished faulty builds this
     #: campaign built vs. took from the process-wide build table, and table
@@ -204,13 +177,12 @@ class RunManifest:
     def from_dict(cls, d: Dict) -> "RunManifest":
         jobs = [JobManifest(**j) for j in d.get("jobs", ())]
         quarantined = [QuarantineRecord(**q) for q in d.get("quarantined", ())]
-        shards = [ShardManifest(**s) for s in d.get("shards", ())]
         fields = {
             k: v
             for k, v in d.items()
-            if k not in ("jobs", "quarantined", "shards")
+            if k not in ("jobs", "quarantined") and k not in _RETIRED_KEYS
         }
-        return cls(jobs=jobs, quarantined=quarantined, shards=shards, **fields)
+        return cls(jobs=jobs, quarantined=quarantined, **fields)
 
     @classmethod
     def read(cls, path: str) -> "RunManifest":

@@ -1,25 +1,21 @@
-"""Merging per-shard :class:`RunManifest`s into one merged manifest.
+"""Merging :class:`RunManifest`s of one campaign into a single manifest.
 
-A sharded campaign produces one manifest per completed lease (the shard
-worker runs each lease through the ordinary executor, which already
-produces a full manifest).  The coordinator folds them into a single
-merged manifest with :func:`merge_manifests` and then overlays the
-coordinator-level truth (measured wall-clock, lease counters, coordinator
-store traffic) on top.
+Several processes can each report a full manifest for their share of a
+campaign (per-worker telemetry is the intended user); :func:`merge_manifests`
+folds them into one.
 
-The fold is a commutative monoid so the merge result cannot depend on
-lease completion order — the property suite
+The fold is a commutative monoid so the merge result cannot depend on the
+order shares finish in — the property suite
 (``tests/test_manifest_merge.py``) checks associativity, commutativity,
 and total preservation over arbitrary permutations and partitions:
 
 * **summed**: item/record counts, store traffic, retries, restarts,
-  timeouts, codegen traffic, build-table traffic, lease counters,
-  ``status_counts`` and ``counter_totals`` (key-wise), per-job cache
-  telemetry;
+  timeouts, codegen traffic, build-table traffic, ``status_counts`` and
+  ``counter_totals`` (key-wise), per-job cache telemetry;
 * **unioned**: ``quarantined`` (deduplicated, sorted), ``jobs`` (keyed by
-  ``(workload, kind)``), ``shards`` (keyed by shard id, fields summed);
-* **maxed**: ``wall_s`` (leases overlap in time), worker counts,
-  ``n_shards``, ``cpu_count``;
+  ``(workload, kind)``);
+* **maxed**: ``wall_s`` (shares overlap in time), worker counts,
+  ``cpu_count``;
 * **labels** (``mode``, ``engine``, ``worker_reason``, …): the common
   value when every manifest agrees, else ``"mixed"`` — deterministic and
   order-independent.
@@ -33,12 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..obs.manifest import (
-    JobManifest,
-    QuarantineRecord,
-    RunManifest,
-    ShardManifest,
-)
+from .manifest import JobManifest, QuarantineRecord, RunManifest
 
 #: Fields of :class:`RunManifest` combined by plain summation.
 _SUMMED = (
@@ -54,10 +45,6 @@ _SUMMED = (
     "retries",
     "worker_restarts",
     "exp_timeouts",
-    "lease_grants",
-    "lease_reassignments",
-    "lease_expiries",
-    "store_synced",
     "golden_built",
     "golden_served",
     "base_built",
@@ -72,7 +59,6 @@ _MAXED = (
     "requested_jobs",
     "effective_jobs",
     "n_jobs",
-    "n_shards",
     "wall_s",
     "cpu_count",
 )
@@ -120,9 +106,9 @@ def _sum_counts(a: Dict[str, int], b: Dict[str, int]) -> Dict[str, int]:
 def _merge_jobs(
     a: List[JobManifest], b: List[JobManifest]
 ) -> List[JobManifest]:
-    """Union keyed by ``(workload, kind)``; shards run the *same* jobs, so
-    the shape fields describe one job seen from several leases (max), while
-    the cache telemetry is genuine per-lease work (summed)."""
+    """Union keyed by ``(workload, kind)``; shares run the *same* jobs, so
+    the shape fields describe one job seen from several shares (max), while
+    the cache telemetry is genuine per-share work (summed)."""
     merged: Dict[Tuple[str, str], JobManifest] = {}
     for jm in list(a) + list(b):
         key = (jm.workload, jm.kind)
@@ -133,7 +119,7 @@ def _merge_jobs(
         cur.n_sites = max(cur.n_sites, jm.n_sites)
         cur.n_variants = max(cur.n_variants, jm.n_variants)
         cur.n_seeds = max(cur.n_seeds, jm.n_seeds)
-        # per-lease site lists can be prefixes of each other; keep the most
+        # per-share site lists can be prefixes of each other; keep the most
         # complete one (total order by (len, content) keeps this a max).
         if (len(jm.sites), jm.sites) > (len(cur.sites), cur.sites):
             cur.sites = list(jm.sites)
@@ -147,29 +133,12 @@ def _merge_jobs(
 def _merge_quarantined(
     a: List[QuarantineRecord], b: List[QuarantineRecord]
 ) -> List[QuarantineRecord]:
-    """Exact-duplicate-free sorted union (two shards may independently
+    """Exact-duplicate-free sorted union (two shares may independently
     condemn the same site with the same verdict)."""
     seen = {}
     for q in list(a) + list(b):
         seen[(q.workload, q.kind, q.site, q.attempts, q.reason)] = q
     return [seen[k] for k in sorted(seen)]
-
-
-def _merge_shards(
-    a: List[ShardManifest], b: List[ShardManifest]
-) -> List[ShardManifest]:
-    merged: Dict[int, ShardManifest] = {}
-    for sm in list(a) + list(b):
-        cur = merged.get(sm.shard)
-        if cur is None:
-            merged[sm.shard] = ShardManifest(**vars(sm))
-            continue
-        cur.leases += sm.leases
-        cur.n_records += sm.n_records
-        cur.store_writes += sm.store_writes
-        cur.retries += sm.retries
-        cur.wall_s += sm.wall_s
-    return [merged[k] for k in sorted(merged)]
 
 
 def _merge2(a: RunManifest, b: RunManifest) -> RunManifest:
@@ -185,7 +154,6 @@ def _merge2(a: RunManifest, b: RunManifest) -> RunManifest:
     out.timeout_factor = _merge_optional_max(a.timeout_factor, b.timeout_factor)
     out.jobs = _merge_jobs(a.jobs, b.jobs)
     out.quarantined = _merge_quarantined(a.quarantined, b.quarantined)
-    out.shards = _merge_shards(a.shards, b.shards)
     out.status_counts = _sum_counts(a.status_counts, b.status_counts)
     out.counter_totals = _sum_counts(a.counter_totals, b.counter_totals)
     out.path = None
@@ -211,7 +179,7 @@ def merge_manifests(manifests: Iterable[RunManifest]) -> RunManifest:
     """Fold any number of manifests into one merged manifest.
 
     Associative and commutative (see the module docstring for the
-    per-field rules), so any partition of the same underlying lease
+    per-field rules), so any partition of the same underlying
     manifests — merged in any order, grouped any way — yields the same
     result.  An empty iterable returns :func:`merge_identity`.
     """

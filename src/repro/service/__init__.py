@@ -2,7 +2,7 @@
 
 ``python -m repro.service`` runs a long-lived daemon that accepts
 :class:`~repro.eval.api.CampaignRequest` submissions over a
-line-delimited JSON socket (plus an optional HTTP shim), deduplicates
+line-delimited JSON socket, deduplicates
 overlapping experiment tuples across concurrent clients against both the
 persistent result store and an in-flight table, executes the remainder
 on one shared supervised pool, and streams records back as they

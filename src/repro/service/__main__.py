@@ -29,12 +29,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--port", type=int, default=7421, help="LDJSON socket port (0 = ephemeral)"
     )
     parser.add_argument(
-        "--http-port",
-        type=int,
-        default=None,
-        help="also serve the HTTP shim on this port (0 = ephemeral)",
-    )
-    parser.add_argument(
         "--unix",
         default=None,
         metavar="PATH",
@@ -56,9 +50,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.store is not None:
         config = replace(config, store_path=args.store)
     try:
-        asyncio.run(
-            _serve(config, args.host, args.port, args.http_port, args.unix)
-        )
+        asyncio.run(_serve(config, args.host, args.port, args.unix))
     except KeyboardInterrupt:
         pass
     return 0
@@ -68,17 +60,12 @@ async def _serve(
     config: ExecConfig,
     host: str,
     port: int,
-    http_port: Optional[int],
     unix_path: Optional[str] = None,
 ) -> None:
-    server = ServiceServer(config, host, port, http_port, unix_path=unix_path)
+    server = ServiceServer(config, host, port, unix_path=unix_path)
     await server.start()
-    extra = f" (http {server.http_port})" if server.http_port is not None else ""
     where = unix_path if unix_path is not None else f"{server.host}:{server.port}"
-    print(
-        f"dpmr campaign service listening on {where}{extra}",
-        flush=True,
-    )
+    print(f"dpmr campaign service listening on {where}", flush=True)
     try:
         await server.serve_forever()
     except asyncio.CancelledError:

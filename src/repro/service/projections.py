@@ -12,10 +12,7 @@ instance folds each event into small derived tables as it is appended:
   without touching any record;
 * ``figures`` — live coverage and detection-latency aggregates per
   ``workload/fault-kind/variant`` cell, updated once per *unique* tuple
-  (fan-out to subscribers does not double-count);
-* ``shards`` — per-shard progress cells (leases and records completed per
-  worker node) when the daemon executes batches on the shard fabric
-  (``ExecConfig.shards > 1``); empty for single-node daemons.
+  (fan-out to subscribers does not double-count).
 
 The projections are a pure fold: ``Projections.replay(log.events)``
 rebuilds byte-identical state from the log alone, which is both the
@@ -60,7 +57,6 @@ class Projections:
         }
         self.requests: Dict[str, Dict] = {}
         self.figures: Dict[str, Dict] = {}
-        self.shards: Dict[str, Dict] = {}
 
     # -- the fold -------------------------------------------------------
 
@@ -111,14 +107,9 @@ class Projections:
         elif kind == "batch_done":
             self.totals["batches"] += 1
             self.totals["batch_wall_s"] += event["wall_s"]
-        elif kind == "shard_done":
-            cell = self._shard(event["shard"])
-            cell["leases"] += event["leases"]
-            cell["records"] += event["n_records"]
-            cell["retries"] += event["retries"]
-            cell["wall_s"] += event["wall_s"]
-        # Unknown kinds are ignored: old logs replay cleanly through newer
-        # projections and vice versa.
+        # Unknown kinds (say, ``shard_done`` from daemons that ran the
+        # retired shard fabric) are ignored: old logs replay cleanly through
+        # newer projections and vice versa.
 
     def _figure(self, workload: str, fault_kind: str, variant: str) -> Dict:
         key = f"{workload}/{fault_kind}/{variant}"
@@ -133,14 +124,6 @@ class Projections:
             }
             self.figures[key] = fig
         return fig
-
-    def _shard(self, shard: int) -> Dict:
-        key = f"shard-{shard}"
-        cell = self.shards.get(key)
-        if cell is None:
-            cell = {"leases": 0, "records": 0, "retries": 0, "wall_s": 0.0}
-            self.shards[key] = cell
-        return cell
 
     # -- queries --------------------------------------------------------
 
@@ -164,16 +147,10 @@ class Projections:
             if fig["t2d_n"]:
                 fig["mean_t2d"] = round(fig["t2d_sum"] / fig["t2d_n"], 2)
             figures[key] = fig
-        shards = {}
-        for key in sorted(self.shards):
-            cell = dict(self.shards[key])
-            cell["wall_s"] = round(cell["wall_s"], 6)
-            shards[key] = cell
         return {
             "totals": totals,
             "requests": {k: dict(v) for k, v in sorted(self.requests.items())},
             "figures": figures,
-            "shards": shards,
         }
 
     @classmethod

@@ -84,8 +84,6 @@ class RequestState:
     shared_hits: int = 0
     executed: int = 0
     orphaned: bool = False
-    collect: bool = False
-    records: List[Optional[ExperimentRecord]] = field(default_factory=list)
     status_counts: Dict[str, int] = field(default_factory=dict)
     started: float = 0.0
     manifest: Optional[RunManifest] = None
@@ -121,14 +119,12 @@ class CampaignScheduler:
         self,
         request: CampaignRequest,
         send: Optional[Callable[[Dict], None]] = None,
-        collect: bool = False,
     ) -> RequestState:
         """Admit one request; returns its live state immediately.
 
-        Record/done messages stream through ``send`` as tuples complete;
-        ``collect=True`` additionally retains records in request order on
-        the state (the HTTP shim's path).  Raises ``ValueError`` on an
-        invalid request or a duplicate ``request_id``.
+        Record/done messages stream through ``send`` as tuples complete.
+        Raises ``ValueError`` on an invalid request or a duplicate
+        ``request_id``.
         """
         loop = asyncio.get_running_loop()
         request.validate()
@@ -148,12 +144,9 @@ class CampaignScheduler:
             send=send,
             total=len(refs),
             n_jobs=n_jobs,
-            collect=collect,
             started=started,
         )
         state.finished = asyncio.Event()
-        if collect:
-            state.records = [None] * len(refs)
         self.requests[request_id] = state
 
         served: List[Tuple[int, ExperimentRecord, str]] = []
@@ -410,18 +403,6 @@ class CampaignScheduler:
                 engine=manifest.engine,
                 effective_jobs=manifest.effective_jobs,
             )
-            # Shard-backend batches (ExecConfig.shards > 1) carry per-node
-            # provenance; surface it as one event per shard so the status
-            # projections show live per-shard progress cells.
-            for sm in manifest.shards:
-                self._event(
-                    "shard_done",
-                    shard=sm.shard,
-                    leases=sm.leases,
-                    n_records=sm.n_records,
-                    retries=sm.retries,
-                    wall_s=round(sm.wall_s, 6),
-                )
             if not self._cancel.is_set():
                 for key in keys:
                     if key in self.dedupe.inflight:
@@ -475,8 +456,6 @@ class CampaignScheduler:
         state.done += 1
         status = record.result.status.value
         state.status_counts[status] = state.status_counts.get(status, 0) + 1
-        if state.collect:
-            state.records[index] = record
         self._send(
             state,
             protocol.record_message(

@@ -1,36 +1,28 @@
-"""The campaign daemon: asyncio LDJSON socket server plus an HTTP shim.
+"""The campaign daemon: an asyncio line-delimited JSON socket server.
 
-:class:`ServiceServer` binds two listeners on one event loop:
-
-* the **line-delimited JSON socket** (the primary protocol,
-  :mod:`repro.service.protocol`) — submit requests, stream records, query
-  status; and
-* an optional **HTTP shim** for tooling that speaks nothing else:
-  ``GET /healthz``, ``GET /status`` (the projection snapshot), and
-  ``POST /submit`` (runs the request to completion and returns the full
-  :class:`~repro.eval.api.CampaignResult` as JSON).
-
-Both front the same :class:`~repro.service.scheduler.CampaignScheduler`,
-so an HTTP submission deduplicates against socket clients and vice
-versa.  A client disconnect mid-request orphans its messages only — the
-scheduler keeps executing the tuples and the store retains the results.
+:class:`ServiceServer` binds one listener (TCP, or a UNIX socket) that
+speaks the LDJSON protocol (:mod:`repro.service.protocol`) — submit
+requests, stream records, query status — in front of one
+:class:`~repro.service.scheduler.CampaignScheduler`, so every client
+deduplicates against every other.  A client disconnect mid-request
+orphans its messages only — the scheduler keeps executing the tuples and
+the store retains the results.
 
 :class:`ServiceDaemon` wraps a server in a background thread for
 in-process use (tests, benchmarks, notebooks): ``start()`` blocks until
-the sockets are bound and returns the address; ``stop()`` shuts the loop
+the socket is bound and returns the address; ``stop()`` shuts the loop
 down cooperatively.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import os
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from ..eval.api import CampaignRequest, CampaignResult
+from ..eval.api import CampaignRequest
 from ..eval.config import ExecConfig
 from . import protocol
 from .scheduler import CampaignScheduler, RequestState
@@ -39,30 +31,27 @@ logger = logging.getLogger("repro.service.server")
 
 
 class ServiceServer:
-    """One daemon: scheduler + socket listener (+ optional HTTP listener)."""
+    """One daemon: scheduler + socket listener."""
 
     def __init__(
         self,
         config: Optional[ExecConfig] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        http_port: Optional[int] = None,
         unix_path: Optional[str] = None,
     ):
         self.scheduler = CampaignScheduler(config)
         self.host = host
         self.port = port
-        self.http_port = http_port
         #: UNIX-domain socket path for the LDJSON protocol.  When set, the
         #: TCP listener is not bound at all — tests and co-located tooling
         #: get a per-instance filesystem address with no port to collide on
         #: (the port-0 default already avoids fixed-port collisions for TCP).
         self.unix_path = unix_path
         self._server: Optional[asyncio.AbstractServer] = None
-        self._http_server: Optional[asyncio.AbstractServer] = None
 
     async def start(self) -> Tuple[str, int]:
-        """Bind the listeners; returns ``(host, port)`` of the socket API
+        """Bind the listener; returns ``(host, port)`` of the socket API
         (``(unix_path, -1)`` when serving on a UNIX socket)."""
         if self.unix_path is not None:
             self._server = await asyncio.start_unix_server(
@@ -74,15 +63,9 @@ class ServiceServer:
                 self._handle_client, self.host, self.port
             )
             self.port = self._server.sockets[0].getsockname()[1]
-        if self.http_port is not None:
-            self._http_server = await asyncio.start_server(
-                self._handle_http, self.host, self.http_port
-            )
-            self.http_port = self._http_server.sockets[0].getsockname()[1]
         logger.info(
-            "campaign service listening on %s%s",
+            "campaign service listening on %s",
             self.unix_path if self.unix_path is not None else f"{self.host}:{self.port}",
-            f" (http {self.http_port})" if self._http_server else "",
         )
         if self.unix_path is not None:
             return self.unix_path, -1
@@ -93,10 +76,9 @@ class ServiceServer:
         await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        for server in (self._server, self._http_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
         if self.unix_path is not None:
             try:
                 os.unlink(self.unix_path)
@@ -150,69 +132,6 @@ class ServiceServer:
                     self.scheduler.orphan(state)
             writer.close()
 
-    # -- HTTP shim -------------------------------------------------------
-
-    async def _handle_http(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            request_line = await reader.readline()
-            if not request_line:
-                return
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                return
-            method, path = parts[0].upper(), parts[1]
-            headers: Dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            body = b""
-            length = int(headers.get("content-length") or 0)
-            if length:
-                body = await reader.readexactly(length)
-            status, payload = await self._http_route(method, path, body)
-        except Exception as exc:
-            logger.warning("http request failed: %s", exc)
-            status, payload = "500 Internal Server Error", {"error": str(exc)}
-        try:
-            data = json.dumps(payload, sort_keys=True).encode("utf-8")
-            writer.write(
-                f"HTTP/1.1 {status}\r\n"
-                f"content-type: application/json\r\n"
-                f"content-length: {len(data)}\r\n"
-                f"connection: close\r\n\r\n".encode("latin-1") + data
-            )
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-
-    async def _http_route(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[str, Dict]:
-        if method == "GET" and path == "/healthz":
-            return "200 OK", {"ok": True}
-        if method == "GET" and path == "/status":
-            return "200 OK", self.scheduler.status()
-        if method == "POST" and path == "/submit":
-            try:
-                request = CampaignRequest.from_dict(json.loads(body.decode("utf-8")))
-                state = await self.scheduler.submit(request, send=None, collect=True)
-                assert state.finished is not None
-                await state.finished.wait()
-                result = CampaignResult(
-                    [r for r in state.records if r is not None], state.manifest
-                )
-                return "200 OK", result.to_dict()
-            except (ValueError, TypeError, UnicodeDecodeError) as exc:
-                return "400 Bad Request", {"error": str(exc)}
-        return "404 Not Found", {"error": f"no route {method} {path}"}
-
 
 class ServiceDaemon:
     """A daemon on a background thread, for in-process embedding."""
@@ -222,13 +141,11 @@ class ServiceDaemon:
         config: Optional[ExecConfig] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        http_port: Optional[int] = None,
         unix_path: Optional[str] = None,
     ):
         self.config = config
         self.host = host
         self.port = port
-        self.http_port = http_port
         self.unix_path = unix_path
         self.server: Optional[ServiceServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -283,16 +200,11 @@ class ServiceDaemon:
 
     async def _main(self) -> None:
         server = ServiceServer(
-            self.config,
-            self.host,
-            self.port,
-            self.http_port,
-            unix_path=self.unix_path,
+            self.config, self.host, self.port, unix_path=self.unix_path
         )
         await server.start()
         self.server = server
         self.host, self.port = server.host, server.port
-        self.http_port = server.http_port
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._ready.set()

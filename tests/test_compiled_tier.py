@@ -220,7 +220,7 @@ def test_exec_fingerprint_is_compiled_transparent():
 
 
 def test_manifest_records_engine_and_codegen_traffic():
-    assert MANIFEST_SCHEMA == 6
+    assert MANIFEST_SCHEMA == 7
     harness = WorkloadHarness("mcf", app_factory("mcf", 1))
     variants = [Variant(name="sds", design="sds")]
     res = run(

@@ -10,7 +10,9 @@ serial fallback becoming a logged warning.
 
 from __future__ import annotations
 
+import json
 import logging
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -66,11 +68,9 @@ class TestFromEnv:
                 "DPMR_COUNTERS": "yes",
                 "DPMR_TIMEOUT_FACTOR": "7",
                 "DPMR_MANIFEST": "/tmp/m.json",
-                "DPMR_SHARDS": "4",
             }
         )
         assert cfg.jobs == 8
-        assert cfg.shards == 4
         assert cfg.incremental is False
         assert cfg.trace_path == "/tmp/t.jsonl"
         assert cfg.trace_events == ("run-start", "run-end", "fault")
@@ -83,12 +83,14 @@ class TestFromEnv:
         assert ExecConfig.from_env({"DPMR_JOBS": "0"}).jobs == 1
         assert ExecConfig.from_env({"DPMR_JOBS": "-3"}).jobs == 1
 
-    def test_shards_default_and_clamped_to_at_least_one(self):
-        assert ExecConfig.from_env({}).shards == 1
-        assert ExecConfig.from_env({"DPMR_SHARDS": "0"}).shards == 1
-        assert ExecConfig.from_env({"DPMR_SHARDS": "-2"}).shards == 1
-        with pytest.raises(ValueError, match="DPMR_SHARDS"):
-            ExecConfig.from_env({"DPMR_SHARDS": "many"})
+    def test_retired_shards_knob_points_at_jobs(self):
+        # Unset, blank or 1 meant single-node, which is what runs now.
+        for raw in ("", " ", "1"):
+            assert ExecConfig.from_env({"DPMR_SHARDS": raw}) == ExecConfig()
+        # Anything else must not silently run serially.
+        for raw in ("4", "0", "-2", "many"):
+            with pytest.raises(ValueError, match="DPMR_JOBS"):
+                ExecConfig.from_env({"DPMR_SHARDS": raw})
 
     def test_bad_int_rejected(self):
         with pytest.raises(ValueError, match="DPMR_JOBS"):
@@ -224,6 +226,18 @@ class TestRunFacade:
         assert m.jobs[0].cache_hits > 0
         assert m.jobs[0].builds_cached > 0
 
+    def test_campaign_result_round_trips_through_json(self, harness, variants):
+        res = run(
+            harness,
+            variants,
+            kind=HEAP_ARRAY_RESIZE,
+            max_sites=1,
+            config=ExecConfig(),
+        )
+        clone = CampaignResult.from_dict(json.loads(json.dumps(res.to_dict())))
+        assert [r.signature() for r in clone] == [r.signature() for r in res]
+        assert clone.manifest.to_dict() == res.manifest.to_dict()
+
     def test_clean_mode(self, harness, variants):
         res = run(harness, variants, config=ExecConfig(counters=True))
         assert len(res) == len(variants) * len(harness.seeds)
@@ -307,6 +321,46 @@ class TestRunFacade:
         assert res.manifest.trace_path is None
         starts = [e for e in tracer.events if e["ev"] == "run-start"]
         assert len(starts) == len(res)
+
+
+class TestOlderManifests:
+    """Manifests written before schema 7 carried the shard fabric's keys."""
+
+    COMMITTED = (
+        Path(__file__).resolve().parents[1]
+        / "benchmarks"
+        / "results"
+        / "manifest_diversity_sds_heap-array-resize.json"
+    )
+
+    def test_committed_manifest_loads(self):
+        raw = json.loads(self.COMMITTED.read_text(encoding="utf-8"))
+        loaded = RunManifest.read(str(self.COMMITTED))
+        assert loaded.schema == raw["schema"]
+        assert loaded.n_records == raw["n_records"]
+        assert loaded.status_counts == raw["status_counts"]
+
+    def test_retired_fabric_keys_are_dropped(self):
+        fresh = RunManifest(mode="campaign")
+        old = fresh.to_dict()
+        old.update(
+            schema=6,
+            n_shards=2,
+            lease_grants=3,
+            lease_reassignments=1,
+            lease_expiries=0,
+            store_synced=5,
+            shards=[{"shard": 0, "leases": 3, "n_records": 5}],
+        )
+        loaded = RunManifest.from_dict(old)
+        assert loaded.schema == 6
+        assert {**loaded.to_dict(), "schema": fresh.schema} == fresh.to_dict()
+
+    def test_other_unknown_keys_still_raise(self):
+        d = RunManifest(mode="campaign").to_dict()
+        d["from_the_future"] = 1
+        with pytest.raises(TypeError, match="from_the_future"):
+            RunManifest.from_dict(d)
 
 
 def test_run_campaign_jobs_with_manifest_matches_wrapper(harness, variants):

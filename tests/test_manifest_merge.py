@@ -1,7 +1,7 @@
-"""Property tests for the shard manifest merge (a commutative monoid).
+"""Property tests for the manifest merge (a commutative monoid).
 
-:func:`repro.shard.merge.merge_manifests` must make the coordinator's
-merged manifest independent of lease completion order and of how the
+:func:`repro.obs.merge.merge_manifests` must make a merged manifest
+independent of the order shares of a campaign finish in and of how the
 tuple space was partitioned.  Hypothesis checks the algebra directly:
 
 * **associativity** and **commutativity** of the pairwise fold;
@@ -10,8 +10,8 @@ tuple space was partitioned.  Hypothesis checks the algebra directly:
 * **partition invariance**: any permutation, grouped any way, merges to
   the same manifest — the property the coordinator actually relies on;
 * **total preservation**: summed counters are exact sums, quarantine
-  lists are exact unions, per-shard provenance partitions exactly;
-* **round-trip**: merged schema-5 manifests survive to_dict/from_dict.
+  lists are exact unions;
+* **round-trip**: merged manifests survive to_dict/from_dict.
 
 Floats in the strategies are dyadic rationals (n/4) so float addition is
 exact and equality assertions are legitimate.
@@ -29,9 +29,8 @@ from repro.obs.manifest import (  # noqa: E402
     JobManifest,
     QuarantineRecord,
     RunManifest,
-    ShardManifest,
 )
-from repro.shard.merge import merge_identity, merge_manifests  # noqa: E402
+from repro.obs.merge import merge_identity, merge_manifests  # noqa: E402
 
 WORKLOADS = ("art", "bzip2", "equake", "mcf")
 KINDS = ("heap-array-resize", "immediate-free")
@@ -95,23 +94,6 @@ def quarantine_lists(draw):
     ]
 
 
-@st.composite
-def shard_lists(draw):
-    """A canonical (sorted, id-unique) per-shard provenance list."""
-    ids = sorted(draw(st.lists(st.integers(0, 3), unique=True, max_size=3)))
-    return [
-        ShardManifest(
-            shard=sid,
-            leases=draw(nat),
-            n_records=draw(nat),
-            store_writes=draw(nat),
-            retries=draw(nat),
-            wall_s=draw(dyadic),
-        )
-        for sid in ids
-    ]
-
-
 _SUMMED = (
     "codegen_hits",
     "codegen_misses",
@@ -125,10 +107,6 @@ _SUMMED = (
     "retries",
     "worker_restarts",
     "exp_timeouts",
-    "lease_grants",
-    "lease_reassignments",
-    "lease_expiries",
-    "store_synced",
     "golden_built",
     "golden_served",
     "base_built",
@@ -155,8 +133,6 @@ def manifests(draw):
     m.jobs = draw(job_manifests())
     m.store_path = draw(opt_label)
     m.quarantined = draw(quarantine_lists())
-    m.shards = draw(shard_lists())
-    m.n_shards = draw(nat)
     m.status_counts = draw(
         st.dictionaries(
             st.sampled_from(("detected", "undetected", "benign")), nat, max_size=3
@@ -232,7 +208,6 @@ def test_merge_preserves_totals(ms):
     for name in _SUMMED:
         assert getattr(merged, name) == sum(getattr(m, name) for m in ms)
     assert merged.wall_s == max(m.wall_s for m in ms)
-    assert merged.n_shards == max(m.n_shards for m in ms)
     for key in {k for m in ms for k in m.status_counts}:
         assert merged.status_counts[key] == sum(
             m.status_counts.get(key, 0) for m in ms
@@ -251,13 +226,6 @@ def test_merge_preserves_totals(ms):
         (q.workload, q.kind, q.site, q.attempts, q.reason)
         for q in merged.quarantined
     } == want
-    # Per-shard provenance partitions exactly (fields summed by shard id).
-    for sid in {s.shard for m in ms for s in m.shards}:
-        cells = [s for m in ms for s in m.shards if s.shard == sid]
-        got = next(s for s in merged.shards if s.shard == sid)
-        assert got.leases == sum(c.leases for c in cells)
-        assert got.n_records == sum(c.n_records for c in cells)
-        assert got.wall_s == sum(c.wall_s for c in cells)
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,4 +234,4 @@ def test_merged_manifest_round_trips_through_json(ms):
     merged = merge_manifests(ms)
     clone = RunManifest.from_dict(merged.to_dict())
     assert clone.to_dict() == merged.to_dict()
-    assert all(isinstance(s, ShardManifest) for s in clone.shards)
+    assert all(isinstance(q, QuarantineRecord) for q in clone.quarantined)

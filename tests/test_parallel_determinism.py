@@ -24,6 +24,7 @@ from repro.eval import (
     mean_time_to_detection,
     prepare_build_states,
     run_campaign_jobs,
+    run_campaign_jobs_with_manifest,
     stdapp_variant,
 )
 from repro.eval.parallel import MIN_ITEMS_PER_WORKER
@@ -166,12 +167,16 @@ class TestIncrementalThroughExecutor:
         ]
 
     def test_prebuilt_states_reused_and_counted(self, harness, variants):
+        # Views prepared ahead of a campaign are served to it by content:
+        # the executor reaches the same base compilers through the table.
         job = job_for_harness(harness, variants, HEAP_ARRAY_RESIZE)
         states = prepare_build_states([job])
-        run_campaign_jobs([job], build_states=states, config=ExecConfig())
+        _, manifest = run_campaign_jobs_with_manifest([job], config=ExecConfig())
         compilers = [c for c in states[0].compilers if c is not None]
         assert compilers and all(c.stats.hits > 0 for c in compilers)
         assert all(c.stats.full_rebuilds == 0 for c in compilers)
+        assert manifest.base_built == 0
+        assert manifest.base_served == len(compilers)
 
     def test_forked_workers_share_coordinator_cache(self, harness, variants):
         # Workers inherit the coordinator's pristine snapshot and per-variant
@@ -182,4 +187,47 @@ class TestIncrementalThroughExecutor:
             parallel = run_campaign_jobs([job], config=ExecConfig(jobs=2))
         assert [record_signature(r) for r in serial] == [
             record_signature(r) for r in parallel
+        ]
+
+
+class TestOnRecord:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_store_hits_stream_first_then_runs(self, tmp_path, variants, jobs):
+        """Store hits stream first (source "store", in item order), then
+        each computed record once as it completes (source "run")."""
+        harness = WorkloadHarness("mcf", app_factory("mcf", 1), seeds=(0, 1, 2))
+        job = job_for_harness(harness, variants, HEAP_ARRAY_RESIZE)
+        config = ExecConfig(jobs=jobs, store_path=str(tmp_path / "store"))
+        every = [
+            (0, si, vi, ri)
+            for si in range(len(job.sites))
+            for vi in range(len(job.variants))
+            for ri in range(len(job.seeds))
+        ]
+        warm = every[::3]
+        cold = [item for item in every if item not in warm]
+        run_campaign_jobs_with_manifest([job], config=config, items=warm)
+        seen = []
+        # Pretend to have the cores, so jobs=2 engages the pool anywhere.
+        with mock.patch("repro.eval.parallel.usable_cpu_count", return_value=2):
+            records, manifest = run_campaign_jobs_with_manifest(
+                [job],
+                config=config,
+                on_record=lambda item, record, source: seen.append(
+                    (tuple(item), source, record)
+                ),
+            )
+        assert manifest.effective_jobs == jobs
+        head, tail = seen[: len(warm)], seen[len(warm) :]
+        assert [(item, source) for item, source, _ in head] == [
+            (item, "store") for item in warm
+        ]
+        assert all(source == "run" for _, source, _ in tail)
+        ran = [item for item, _, _ in tail]
+        assert sorted(ran) == cold
+        if jobs == 1:
+            assert ran == cold
+        streamed = {item: record for item, _, record in seen}
+        assert [record_signature(streamed[item]) for item in every] == [
+            record_signature(r) for r in records
         ]

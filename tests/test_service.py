@@ -10,12 +10,9 @@ the content-addressed dedupe table, and the event-log projections.
 """
 
 import asyncio
-import json
 import socket
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -196,28 +193,25 @@ class TestProjections:
     def test_hit_rate_none_before_any_admission(self):
         assert Projections().store_hit_rate() is None
 
-    def test_shard_events_fold_into_per_shard_cells(self):
-        """Shard-originated events: per-shard progress cells accumulate,
-        unknown shard-era kinds are skipped, and replay still equals the
+    def test_retired_shard_events_are_skipped(self):
+        """A log written while the shard fabric existed still replays:
+        its ``shard_done`` events fold to nothing, and replay equals the
         live fold over the mixed log."""
         log, proj = self._populated()
-
-        def emit(kind, **fields):
-            proj.apply(log.append(kind, **fields))
-
-        emit("shard_done", shard=1, leases=2, n_records=4, retries=1, wall_s=0.25)
-        emit("shard_done", shard=0, leases=1, n_records=2, retries=0, wall_s=0.5)
-        emit("shard_done", shard=1, leases=1, n_records=2, retries=0, wall_s=0.25)
-        emit("shard_from_the_future", shard=9, whatever=True)  # ignored
-        snap = proj.to_dict()
-        assert snap["shards"] == {
-            "shard-0": {"leases": 1, "records": 2, "retries": 0, "wall_s": 0.5},
-            "shard-1": {"leases": 3, "records": 6, "retries": 1, "wall_s": 0.5},
-        }
+        before = proj.to_dict()
+        for shard in (1, 0):
+            proj.apply(
+                log.append(
+                    "shard_done",
+                    shard=shard,
+                    leases=2,
+                    n_records=4,
+                    retries=1,
+                    wall_s=0.25,
+                )
+            )
+        assert proj.to_dict() == before
         assert Projections.replay(log.events).to_dict() == proj.to_dict()
-
-    def test_fresh_projections_have_no_shard_cells(self):
-        assert Projections().to_dict()["shards"] == {}
 
 
 class TestServiceEndToEnd:
@@ -250,34 +244,6 @@ class TestServiceEndToEnd:
         assert [record_signature(r) for r in res.records] == [
             record_signature(r) for r in solo.records
         ]
-
-    def test_shard_backend_daemon_emits_shard_events(self, tmp_path):
-        """A daemon whose executor runs on the shard fabric streams the
-        same records and folds real shard_done events into projections."""
-        solo = run(REQUEST, config=ExecConfig())
-        sock = str(tmp_path / "dpmr.sock")
-        with ServiceDaemon(ExecConfig(shards=2), unix_path=sock) as daemon:
-            with ServiceClient(unix_path=sock) as client:
-                res = client.submit(REQUEST)
-            # The done frame can beat the runner's batch bookkeeping by a
-            # hair; wait for the shard events to land in the log.
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                events, projections = _snapshot(daemon)
-                if any(e["kind"] == "shard_done" for e in events):
-                    break
-                time.sleep(0.05)
-        assert [record_signature(r) for r in res.records] == [
-            record_signature(r) for r in solo.records
-        ]
-        shard_events = [e for e in events if e["kind"] == "shard_done"]
-        assert shard_events
-        assert projections["shards"]
-        assert sum(e["n_records"] for e in shard_events) == len(res.records)
-        assert sum(
-            cell["records"] for cell in projections["shards"].values()
-        ) == len(res.records)
-        assert Projections.replay(events).to_dict() == projections
 
     def test_concurrent_overlapping_requests_share_tuples(self):
         solo_a = run(REQUEST, config=ExecConfig())
@@ -399,45 +365,3 @@ class TestServiceEndToEnd:
             msg = protocol.decode(rfile.readline())
             assert msg["type"] == "error" and "bogus" in msg["error"]
             sock.close()
-
-
-class TestHttpShim:
-    def test_healthz_submit_and_status(self):
-        with ServiceDaemon(ExecConfig(), http_port=0) as daemon:
-            base = f"http://{daemon.host}:{daemon.http_port}"
-            with urllib.request.urlopen(f"{base}/healthz", timeout=60) as resp:
-                assert json.loads(resp.read()) == {"ok": True}
-
-            body = json.dumps(REQUEST.to_dict()).encode("utf-8")
-            req = urllib.request.Request(
-                f"{base}/submit",
-                data=body,
-                headers={"content-type": "application/json"},
-                method="POST",
-            )
-            with urllib.request.urlopen(req, timeout=600) as resp:
-                payload = json.loads(resp.read())
-            from repro.eval import CampaignResult
-
-            result = CampaignResult.from_dict(payload)
-            solo = run(REQUEST, config=ExecConfig())
-            assert [record_signature(r) for r in result.records] == [
-                record_signature(r) for r in solo.records
-            ]
-
-            with urllib.request.urlopen(f"{base}/status", timeout=60) as resp:
-                status = json.loads(resp.read())
-            assert status["projections"]["totals"]["requests"] == 1
-
-    def test_http_bad_request(self):
-        with ServiceDaemon(ExecConfig(), http_port=0) as daemon:
-            base = f"http://{daemon.host}:{daemon.http_port}"
-            req = urllib.request.Request(
-                f"{base}/submit", data=b"{}", method="POST"
-            )
-            with pytest.raises(urllib.error.HTTPError) as exc_info:
-                urllib.request.urlopen(req, timeout=60)
-            assert exc_info.value.code == 400
-            with pytest.raises(urllib.error.HTTPError) as exc_info:
-                urllib.request.urlopen(f"{base}/nowhere", timeout=60)
-            assert exc_info.value.code == 404
