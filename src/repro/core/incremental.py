@@ -5,12 +5,14 @@ once per injected fault, even though consecutive builds differ in exactly
 one function.  :class:`IncrementalDpmrCompiler` removes that redundancy with
 a content-addressed, function-granular transform cache:
 
-1. the *pristine* module is transformed once per variant configuration,
-   recording the comparison policy's compile-time state at every function
-   boundary (the static load-checking policy draws one random number per
-   load site, in module order — the snapshots let a single function be
-   re-transformed with exactly the per-site decisions a full rebuild would
-   make);
+1. the *pristine* module is transformed once per transform configuration
+   (design and comparison policy, :func:`transform_digest` — the diversity
+   transformation acts at run time only, so every diversity variant
+   shares the transform), recording the comparison policy's compile-time
+   state at every function boundary (the static load-checking policy draws
+   one random number per load site, in module order — the snapshots let a
+   single function be re-transformed with exactly the per-site decisions a
+   full rebuild would make);
 2. a faulty build re-transforms *only* the functions whose content hash
    differs from the pristine build (for campaign clones this is exactly the
    function containing the injected fault — every other function is the
@@ -25,11 +27,9 @@ a content-addressed, function-granular transform cache:
    — a digest of (transform config, policy pre-state, source content) that
    deterministically pins its text — which the compiled tier's code cache
    keys on directly (see ``repro.machine.compile._STAMP_CACHE``), so
-   repeat codegen for the same site skips structural delta planning and
-   diversity variants (whose transformed text is identical) share one
-   generated-code entry;
+   repeat codegen for the same site skips structural delta planning;
 4. re-transformed functions are memoized under
-   ``(function name, content hash)`` — the variant configuration is fixed
+   ``(function name, content hash)`` — the transform configuration is fixed
    per compiler instance — so repeated compiles of the same faulty function
    run the translator at most once.  The key is built with
    :func:`repro.machine.compile.content_cache_key`, the same
@@ -41,9 +41,11 @@ declared with fresh register/label counters exactly as the full pass
 declares them, function/global dict ordering (which fixes machine address
 assignment) is preserved by in-place replacement, and the `main` stub is
 regenerated whenever `main` itself changes.  What is *not* re-run per build
-is whole-module verification — the pristine build is verified once on both
-sides, and each incremental build verifies only the re-transformed
-functions (verification cannot change emitted code, only raise).
+is whole-module verification — the pristine module is verified once per
+content (by the build table, or here when constructed without
+``pristine_fps``), each base transform once, and each incremental build
+verifies only the re-transformed functions (verification cannot change
+emitted code, only raise).
 """
 
 from __future__ import annotations
@@ -249,6 +251,28 @@ def _policy_fingerprint(policy) -> str:
     return h.hexdigest()
 
 
+def _transform_class(design: ReplicationDesign):
+    return SdsTransform if design is ReplicationDesign.SDS else MdsTransform
+
+
+def transform_digest(design: ReplicationDesign, policy: ComparisonPolicy) -> str:
+    """Content digest of everything the DPMR transform reads of a
+    configuration: the design and the comparison policy's configuration.
+
+    The diversity transformation is not part of it — it only shapes the
+    replica heap at run time — and neither is the policy's RNG state,
+    which builds advance but
+    :meth:`~repro.core.transform.BaseTransform.begin_module` resets.
+    Equal digests therefore mean byte-identical transformed modules for
+    the same source; the build table keys base transforms and faulty
+    builds on it, and provenance stamps carry it."""
+    h = hashlib.sha256()
+    h.update(_transform_class(design).__qualname__.encode())
+    h.update(repr(design).encode())
+    h.update(_policy_fingerprint(policy).encode())
+    return h.hexdigest()
+
+
 def _apply_events(events: list, out_fn: Function, tr) -> None:
     """Replay journal events: emissions, block creation, name bindings."""
     for tag, a, b in events:
@@ -280,7 +304,12 @@ class IncrementalDpmrCompiler:
     function/global sets or signatures) falls back to a full rebuild.
     """
 
-    def __init__(self, compiler: DpmrCompiler, pristine: Module):
+    def __init__(
+        self,
+        compiler: DpmrCompiler,
+        pristine: Module,
+        pristine_fps: Optional[Dict[str, str]] = None,
+    ):
         if compiler.optimize or compiler.plan is not None:
             raise ValueError(
                 "incremental recompilation supports neither the post-DPMR "
@@ -290,14 +319,18 @@ class IncrementalDpmrCompiler:
         self.compiler = compiler
         self.pristine = pristine
         self.stats = TransformCacheStats()
-        cls = (
-            SdsTransform
-            if compiler.design is ReplicationDesign.SDS
-            else MdsTransform
-        )
-        if compiler.verify:
+        # ``pristine_fps`` maps every defined function of ``pristine`` to its
+        # function_fingerprint; a caller passing it has verified ``pristine``
+        # too (the build table does both once per content, for every
+        # compiler of that content).  Without it, both happen here.
+        if pristine_fps is None and compiler.verify:
             verify_module(pristine)
-        self._tx = cls(pristine, policy=compiler.policy, plan=None)
+        self._pristine_fp: Dict[str, str] = (
+            pristine_fps if pristine_fps is not None else {}
+        )
+        self._tx = _transform_class(compiler.design)(
+            pristine, policy=compiler.policy, plan=None
+        )
         # Instruction-granular delta transforms need (a) the runtime
         # specialization knob on (DPMR_INLINE_RT=0 restores whole-function
         # re-transforms) and (b) a policy whose per-site compile state can be
@@ -327,23 +360,17 @@ class IncrementalDpmrCompiler:
         if compiler.verify:
             verify_module(out)
         self.base_module = out
-        self._pristine_fp: Dict[str, str] = {}
         self._memo: Dict[Tuple[str, str], _Replacement] = {}
         # Provenance stamps: the transformed text of any source function is
         # a pure function of (transform config, policy pre-state, source
         # content), so a digest of those three content-addresses the output
         # — the compiled tier keys generated code on it directly, skipping
-        # structural delta planning and sharing entries across diversity
-        # variants (whose transformed text is identical).  Part of the
-        # runtime-inlining pipeline: DPMR_INLINE_RT=0 disables stamping.
+        # structural delta planning.  Part of the runtime-inlining
+        # pipeline: DPMR_INLINE_RT=0 disables stamping.
         self._stamp_cfg: Optional[str] = None
         self._state_fp: Dict[str, str] = {}
         if inline_runtime_enabled():
-            cfg = hashlib.sha256()
-            cfg.update(type(self._tx).__qualname__.encode())
-            cfg.update(repr(compiler.design).encode())
-            cfg.update(_policy_fingerprint(compiler.policy).encode())
-            self._stamp_cfg = cfg.hexdigest()
+            self._stamp_cfg = transform_digest(compiler.design, compiler.policy)
             for fn in pristine.defined_functions():
                 self._state_fp[fn.name] = hashlib.sha256(
                     repr(self._pre_states[fn.name]).encode()

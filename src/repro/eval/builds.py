@@ -3,27 +3,43 @@
 A fault-injection campaign builds the same things over and over: every
 job of a workload runs the same golden run and enumerates sites on the
 same pristine snapshot, every seed set and every fault kind transforms
-the same pristine module with the same DPMR variant, and every repeated
-request rebuilds the same faulty modules.  None of those products
-depends on the seeds, the variant list, the variant order or the job
-object that asks for it — only on content.  This table holds each one
-under a key made of exactly what determines it:
+the same pristine module with the same DPMR configuration, every
+diversity variant transforms it identically, and every repeated request
+rebuilds the same faulty modules.  None of those products depends on the
+seeds, the variant list, the variant order, the variant's name or
+diversity, or the job object that asks for it — only on content.  This
+table holds each one under a key made of exactly what determines it:
 
 =============  =======================================================
 entry          key (after the kind tag)
 =============  =======================================================
 ``pristine``   pristine digest (:func:`module_fingerprint`); the value
-               is the one canonical :class:`Module` of that content, so
-               ``Module.clone`` and the on-Function code memo share
-               functions by identity across jobs
+               is a :class:`Pristine`: the one canonical :class:`Module`
+               of that content, so ``Module.clone`` and the on-Function
+               code memo share functions by identity across jobs,
+               verified and its functions fingerprinted once, for the
+               first base transform
 ``golden``     (pristine digest, argv)
 ``sites``      (pristine digest, fault kind, percent)
-``base``       (pristine digest, variant fingerprint, inline-runtime
+``base``       (pristine digest, transform digest, inline-runtime
                flag): a :class:`BaseTransform`
-``site``       (pristine digest, fault kind, percent, site id, variant
-               fingerprint, inline-runtime flag): a finished faulty
-               build (:class:`~repro.eval.variants.CompiledVariant`)
+``site``       (pristine digest, fault kind, percent, site id, transform
+               digest, inline-runtime flag): a finished faulty build —
+               the faulty module and its DPMR build, or ``None`` for a
+               variant without DPMR (whose transform digest is ``None``)
 =============  =======================================================
+
+The transform digest
+(:func:`~repro.core.incremental.transform_digest`, via
+:meth:`~repro.eval.variants.Variant.transform_key`) is the design plus
+the comparison policy's configuration — class and plain-data attributes
+such as fraction, seed and mask, not its RNG state — which is all the
+SDS/MDS transform reads.  The diversity transformation only shapes the
+replica heap at run time, so it is not part of any key: a tuple binds
+its variant's name and diversity to the shared product
+(:meth:`~repro.eval.variants.Variant.bind`).  The result store keys
+records on ``variant_fingerprint`` instead; that is a record's identity,
+not a build's.
 
 The inline-runtime flag is part of the transform keys because
 ``IncrementalDpmrCompiler`` reads it at construction (journaling and
@@ -61,11 +77,12 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..ir.module import Module
-from ..ir.printer import format_module
+from ..ir.printer import format_module, function_fingerprint
+from ..ir.verifier import verify_module
 
 #: Entry budget of the table, over all kinds together.  The benchmark
-#: workloads hold about 250 entries (the service stream: 112 base
-#: transforms and 120 faulty builds), so neither evicts.  On the shipped
+#: workloads hold about 140 entries (the service stream: 56 base
+#: transforms and 64 faulty builds), so neither evicts.  On the shipped
 #: apps, at any scale, a base transform takes about 0.3 MB and a faulty
 #: build about 0.65 MB with its compiled code, so a full table stays under
 #: about 350 MB.
@@ -101,6 +118,34 @@ class BuildCounts:
         :class:`~repro.obs.manifest.RunManifest`)."""
         for f in fields(self):
             setattr(target, f.name, getattr(target, f.name) + getattr(self, f.name))
+
+
+class Pristine:
+    """A table entry for one pristine content: its canonical module and,
+    from the first base transform of the content on, proof that it
+    verifies plus the fingerprint of each defined function, which every
+    incremental compiler of that content reads instead of recomputing.
+    Runs without DPMR never pay for either."""
+
+    __slots__ = ("module", "_function_fps")
+
+    def __init__(self, module: Module) -> None:
+        self.module = module
+        self._function_fps: Optional[Dict[str, str]] = None
+
+    @property
+    def function_fps(self) -> Dict[str, str]:
+        """Defined function name → ``function_fingerprint``, once the
+        module has verified.  Two threads may both compute it the first
+        time; the results are equal."""
+        fps = self._function_fps
+        if fps is None:
+            verify_module(self.module)
+            fps = self._function_fps = {
+                fn.name: function_fingerprint(fn)
+                for fn in self.module.defined_functions()
+            }
+        return fps
 
 
 class BaseTransform:
@@ -243,12 +288,18 @@ def reset_build_table() -> None:
     _TABLE.clear()
 
 
-def canonical_pristine(module: Module) -> Tuple[Module, str]:
-    """The canonical snapshot of ``module``'s content and its digest.
+def pristine_entry(module: Module, digest: str) -> Pristine:
+    """The table's :class:`Pristine` entry for content ``digest``, admitting
+    ``module`` (whose digest it must be) if the table holds none.
 
-    The first module registered for a digest becomes the canonical one;
-    it must be treated as frozen from then on (campaign clones share its
+    The first module admitted for a digest becomes the canonical one; it
+    must be treated as frozen from then on (campaign clones share its
     functions).
     """
+    return _TABLE.get(("pristine", digest), lambda: Pristine(module))
+
+
+def canonical_pristine(module: Module) -> Tuple[Module, str]:
+    """The canonical snapshot of ``module``'s content and its digest."""
     digest = module_fingerprint(module)
-    return _TABLE.get(("pristine", digest), lambda: module), digest
+    return pristine_entry(module, digest).module, digest

@@ -20,14 +20,17 @@ bit-identical* to a serial run:
   whatever order workers finish in.
 
 Experiment builds go through the **incremental recompilation layer**
-(:mod:`repro.core.incremental`) by default: each DPMR variant transforms
-the pristine snapshot once, and a faulty build is then a copy-on-write
-module clone plus a re-transform of the single function containing the
-fault.  Every build product — pristine snapshot, site list, base
-transform, finished faulty build — lives in the process-wide build table
+(:mod:`repro.core.incremental`) by default: each DPMR transform
+configuration (design and comparison policy) transforms the pristine
+snapshot once, and a faulty build is then a copy-on-write module clone
+plus a re-transform of the single function containing the fault.  Every
+build product — pristine snapshot, site list, base transform, finished
+faulty build — lives in the process-wide build table
 (:mod:`repro.eval.builds`) under a key made of its content, so jobs that
-differ only in seeds, variant list or order, or fault kind, and repeated
-campaigns over fresh job objects, share every build they have in common.
+differ only in seeds, variant list or order, or fault kind, variants that
+differ only in diversity, and repeated campaigns over fresh job objects,
+share every build they have in common; each tuple binds its variant's
+name and diversity to the shared build (:meth:`Variant.bind`).
 The base transforms a campaign needs are fetched in the coordinating
 process *before* the pool forks, so workers share them (copy-on-write
 pages) rather than rebuilding them; records are bit-identical to the
@@ -72,6 +75,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.incremental import IncrementalDpmrCompiler
+from ..core.pipeline import DpmrBuild
 from ..faultinject.campaign import ProgramFactory, campaign_sites
 from ..faultinject.injector import FAULT_KINDS, FaultSite, inject
 from ..ir.module import Module
@@ -81,7 +85,13 @@ from ..obs.manifest import (
     RunManifest,
     usable_cpu_count,
 )
-from .builds import BaseTransform, build_scope, build_table, canonical_pristine
+from .builds import (
+    BaseTransform,
+    build_scope,
+    build_table,
+    canonical_pristine,
+    pristine_entry,
+)
 from .config import ExecConfig
 from .experiment import ExperimentRecord
 from .store import (
@@ -165,11 +175,11 @@ class CampaignJob:
     def build_state(self) -> "JobBuildState":
         """This job's view onto the build table.
 
-        Holds the pristine snapshot plus one base transform (function-level
-        cache) per DPMR variant — the only full-program build work of a
-        campaign, done once per content in this process, whatever job asks
-        for it.  Fetched in the coordinator before forking, so workers
-        inherit the warm transforms.
+        Holds the pristine snapshot plus each variant's base transform
+        (function-level cache) — the only full-program build work of a
+        campaign, done once per (content, transform configuration) in this
+        process, whatever job or variant asks for it.  Fetched in the
+        coordinator before forking, so workers inherit the warm transforms.
         """
         from ..machine.compile import inline_runtime_enabled
 
@@ -179,7 +189,7 @@ class CampaignJob:
             pristine=pristine,
             digest=digest,
             inline_rt=inline_rt,
-            variant_fps=[variant_fingerprint(v) for v in self.variants],
+            transform_keys=[v.transform_key() for v in self.variants],
             bases=[
                 base_transform(pristine, digest, v, inline_rt) for v in self.variants
             ],
@@ -229,27 +239,41 @@ def job_for_harness(
 def base_transform(
     pristine: Module, digest: str, variant: Variant, inline_rt: bool
 ) -> Optional[BaseTransform]:
-    """The table's base transform of ``pristine`` under ``variant``.
+    """The table's base transform of ``pristine`` under ``variant``'s
+    transform configuration (:meth:`Variant.transform_key`).
 
     None for non-DPMR variants, which need no transform.  ``inline_rt``
     must be the runtime-specialization flag in force, which the
     transform reads when it is built.
     """
-    if not variant.dpmr:
+    key = variant.transform_key()
+    if key is None:
         return None
-    return build_table().get(
-        ("base", digest, variant_fingerprint(variant), inline_rt),
-        lambda: BaseTransform(variant.incremental_compiler(pristine)),
-    )
+
+    def build() -> BaseTransform:
+        admitted = pristine_entry(pristine, digest)
+        return BaseTransform(
+            IncrementalDpmrCompiler(
+                variant.transform_compiler(), admitted.module, admitted.function_fps
+            )
+        )
+
+    return build_table().get(("base", digest, key, inline_rt), build)
+
+
+#: A finished faulty build: the faulty module and its DPMR build (None
+#: without DPMR), before a variant's name and diversity are bound to it.
+SiteBuild = Tuple[Module, Optional[DpmrBuild]]
 
 
 @dataclass
 class JobBuildState:
     """One job's view onto the build table, shared by coordinator and workers.
 
-    The pristine snapshot and its digest, plus one base transform per
-    variant (``None`` for non-DPMR variants).  Finished faulty builds are
-    not held here: they are table entries keyed by content (see
+    The pristine snapshot and its digest, plus each variant's transform
+    key and base transform (``None`` for non-DPMR variants; variants that
+    share a key share the transform).  Finished faulty builds are not
+    held here: they are table entries keyed by content (see
     :meth:`site_key`).  The ``cache_*`` fields count the function-level
     transform cache traffic of the site builds made through this view.
     """
@@ -257,7 +281,7 @@ class JobBuildState:
     pristine: Module
     digest: str
     inline_rt: bool
-    variant_fps: List[str]
+    transform_keys: List[Optional[str]]
     bases: List[Optional[BaseTransform]]
     cache_hits: int = 0
     cache_misses: int = 0
@@ -269,14 +293,15 @@ class JobBuildState:
         return [b.compiler if b is not None else None for b in self.bases]
 
     def site_key(self, job: CampaignJob, si: int, vi: int) -> Tuple:
-        """Build-table key of the finished build of (site ``si``, variant ``vi``)."""
+        """Build-table key of the finished build of (site ``si``, variant
+        ``vi``'s transform)."""
         return (
             "site",
             self.digest,
             job.kind,
             job.percent,
             job.sites[si].site_id,
-            self.variant_fps[vi],
+            self.transform_keys[vi],
             self.inline_rt,
         )
 
@@ -288,8 +313,8 @@ def prepare_build_states(jobs: Sequence[CampaignJob]) -> List[JobBuildState]:
     """Each job's view onto the build table (see :meth:`CampaignJob.build_state`).
 
     This is the only place the campaign pays full-program build cost: one
-    whole-module DPMR transform per variant whose content the table does
-    not hold yet.
+    whole-module DPMR transform per (content, transform configuration) the
+    table does not hold yet.
     """
     return [job.build_state() for job in jobs]
 
@@ -327,7 +352,8 @@ def _compiled_for(
     entry keyed by content (:meth:`JobBuildState.site_key`): built at most
     once per process — a copy-on-write clone of the pristine snapshot plus
     a single-function re-transform — and served to every later campaign,
-    job or request with the same content.  Without, it is a full
+    job, request or variant with the same content; the tuple's variant
+    binds its name and diversity to it.  Without, it is a full
     factory-rebuild and whole-module transform, memoised per worker only
     for the current executor call.
     """
@@ -335,9 +361,10 @@ def _compiled_for(
     job = jobs[ji]
     if states is not None:
         state = states[ji]
-        return build_table().get(
+        faulty, build = build_table().get(
             state.site_key(job, si, vi), lambda: _build_site(job, state, si, vi)
         )
+        return job.variants[vi].bind(faulty, build)
     key = (ji, si, vi)
     compiled = _COMPILED.get(key)
     if compiled is not None:
@@ -352,10 +379,8 @@ def _compiled_for(
     return compiled
 
 
-def _build_site(
-    job: CampaignJob, state: JobBuildState, si: int, vi: int
-) -> CompiledVariant:
-    """One faulty build through the job's base transform.
+def _build_site(job: CampaignJob, state: JobBuildState, si: int, vi: int) -> SiteBuild:
+    """One faulty build through variant ``vi``'s base transform.
 
     The clone comes from the module the base transform was built on, so
     every unchanged function is recognized by identity.  The transform
@@ -363,21 +388,20 @@ def _build_site(
     are not thread-safe.
     """
     site = job.sites[si]
-    variant = job.variants[vi]
     base = state.bases[vi]
     pristine = base.compiler.pristine if base is not None else state.pristine
     clone = pristine.clone(mutable_functions=(site.function,))
     faulty = inject(clone, site, job.percent)
     if base is None:
-        return variant.compile_incremental(None, faulty)
+        return faulty, None
     with base.lock:
         stats = base.compiler.stats
         full_before = stats.full_rebuilds
-        compiled = variant.compile_incremental(base.compiler, faulty)
+        build = base.compiler.compile(faulty)
         state.cache_full_rebuilds += stats.full_rebuilds - full_before
-    state.cache_hits += compiled.cache_hits
-    state.cache_misses += compiled.cache_misses
-    return compiled
+    state.cache_hits += build.cache_hits
+    state.cache_misses += build.cache_misses
+    return faulty, build
 
 
 def _run_item(
@@ -514,15 +538,17 @@ def _worker_decision(
     return effective, reason, None
 
 
-def _warm_compiled_bases(states: Sequence[Optional[JobBuildState]]) -> None:
+def _warm_compiled_bases(
+    jobs: Sequence[CampaignJob], states: Sequence[Optional[JobBuildState]]
+) -> None:
     """Pre-generate compiled code for every pristine/base-transform module.
 
     Delta codegen splices per-site code against a *base* generation of the
     same function; anchoring the bases on the pristine snapshot (and each
-    DPMR variant's transformed pristine) before any faulty build compiles
-    means every per-site compile takes the cheap delta path, and forked
-    workers inherit the warm base info via copy-on-write.  DPMR bases are
-    additionally warmed under the variant's runtime-specialization spec,
+    DPMR transform of it) before any faulty build compiles means every
+    per-site compile takes the cheap delta path, and forked workers
+    inherit the warm base info via copy-on-write.  Each base is warmed
+    under the runtime-specialization spec of every variant that uses it,
     which is part of the codegen context key — that is the context the
     per-experiment machines actually compile under.  Failures are
     ignored — anything that refuses to compile falls back to the
@@ -532,23 +558,23 @@ def _warm_compiled_bases(states: Sequence[Optional[JobBuildState]]) -> None:
     from ..machine.compile import compiled_program_for, inline_runtime_enabled
 
     inline_rt = inline_runtime_enabled()
-    for state in states:
+    for job, state in zip(jobs, states):
         if state is None:
             continue
         try:
             compiled_program_for(state.pristine)
         except Exception:  # pragma: no cover — interp fallback handles it
             pass
-        for compiler in state.compilers:
-            if compiler is None:
+        for variant, base in zip(job.variants, state.bases):
+            if base is None:
                 continue
             spec = (
-                diversity_codegen_spec(compiler.compiler.diversity)
+                diversity_codegen_spec(variant.effective_diversity())
                 if inline_rt
                 else None
             )
             try:
-                compiled_program_for(compiler.base_module, spec)
+                compiled_program_for(base.compiler.base_module, spec)
             except Exception:  # pragma: no cover
                 pass
 
@@ -578,11 +604,14 @@ def _job_manifests(
             jm.cache_hits = now[0] - then[0]
             jm.cache_misses = now[1] - then[1]
             jm.cache_full_rebuilds = now[2] - then[2]
-            jm.builds_cached = sum(
-                state.site_key(job, si, vi) in table
+            # the view's variants: the service may have appended more to
+            # the job since the view was made
+            keys = {
+                state.site_key(job, si, vi)
                 for si in range(len(job.sites))
-                for vi in range(len(state.variant_fps))
-            )
+                for vi in range(len(state.transform_keys))
+            }
+            jm.builds_cached = sum(key in table for key in keys)
         out.append(jm)
     return out
 
@@ -859,7 +888,7 @@ def run_campaign_jobs_with_manifest(
                 )
                 persist_set = True
             if use_compiled and states is not None:
-                _warm_compiled_bases(states)
+                _warm_compiled_bases(jobs, states)
             # Coordinator-process snapshot: forked workers' codegen stats do
             # not cross the process boundary, so the deltas below cover
             # serial runs and the coordinator's share of parallel ones

@@ -15,7 +15,7 @@ handed to :meth:`Variant.compile` was fault-injected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.aug_types import ReplicationDesign
@@ -26,7 +26,7 @@ from ..core.diversity import (
     RearrangeHeap,
     ZeroBeforeFree,
 )
-from ..core.incremental import IncrementalDpmrCompiler
+from ..core.incremental import IncrementalDpmrCompiler, transform_digest
 from ..core.pipeline import DpmrBuild, DpmrCompiler
 from ..core.policies import (
     AllLoadsPolicy,
@@ -108,9 +108,34 @@ class Variant:
             return None
         return DpmrCompiler(
             design=self.design,
-            policy=self.policy if self.policy is not None else AllLoadsPolicy(),
-            diversity=self.diversity if self.diversity is not None else NoDiversity(),
+            policy=self._policy(),
+            diversity=self.effective_diversity(),
         )
+
+    def transform_compiler(self) -> Optional[DpmrCompiler]:
+        """The compile-time half of :meth:`compiler`: design and comparison
+        policy only.  The diversity transformation shapes the replica heap
+        at run time and never reaches the transform, so variants that
+        differ only in diversity share every transform product."""
+        if not self.dpmr:
+            return None
+        return DpmrCompiler(design=self.design, policy=self._policy())
+
+    def transform_key(self) -> Optional[str]:
+        """Digest of what the transform reads of this variant
+        (:func:`~repro.core.incremental.transform_digest`; None without
+        DPMR)."""
+        compiler = self.transform_compiler()
+        if compiler is None:
+            return None
+        return transform_digest(compiler.design, compiler.policy)
+
+    def _policy(self) -> ComparisonPolicy:
+        return self.policy if self.policy is not None else AllLoadsPolicy()
+
+    def effective_diversity(self) -> DiversityPolicy:
+        """The diversity transformation runs of this variant use."""
+        return self.diversity if self.diversity is not None else NoDiversity()
 
     def compile(self, module: Module) -> CompiledVariant:
         compiler = self.compiler()
@@ -124,8 +149,11 @@ class Variant:
         self, pristine: Module
     ) -> Optional[IncrementalDpmrCompiler]:
         """A function-level transform cache for campaign builds derived from
-        ``pristine`` (None for non-DPMR variants, which need no transform)."""
-        compiler = self.compiler()
+        ``pristine`` (None for non-DPMR variants, which need no transform).
+
+        It holds the transform configuration only, so one such compiler
+        serves every variant with this :meth:`transform_key`."""
+        compiler = self.transform_compiler()
         if compiler is None:
             return None
         return compiler.incremental(pristine)
@@ -135,15 +163,24 @@ class Variant:
         incremental: Optional[IncrementalDpmrCompiler],
         module: Module,
     ) -> CompiledVariant:
-        """Compile ``module`` through the variant's incremental cache.
+        """Compile ``module`` through an incremental cache of this variant's
+        transform configuration.
 
         Produces builds byte-identical to :meth:`compile`; ``incremental``
-        is the compiler returned by :meth:`incremental_compiler` (None for
-        non-DPMR variants).
+        is a compiler returned by :meth:`incremental_compiler` of any
+        variant with this :meth:`transform_key` (None for non-DPMR
+        variants).
         """
-        if incremental is None:
-            return CompiledVariant(self.name, module, None)
-        return CompiledVariant(self.name, module, incremental.compile(module))
+        build = incremental.compile(module) if incremental is not None else None
+        return self.bind(module, build)
+
+    def bind(self, module: Module, build: Optional[DpmrBuild]) -> CompiledVariant:
+        """This variant's runnable build of a diversity-free transform
+        product: ``module`` and its DPMR build (None without DPMR), with
+        the variant's name and diversity bound to it."""
+        if build is not None:
+            build = replace(build, diversity=self.effective_diversity())
+        return CompiledVariant(self.name, module, build)
 
 
 def stdapp_variant() -> Variant:

@@ -166,8 +166,8 @@ def reset_codegen_stats() -> None:
 _CODE_CACHE: Dict[Tuple[str, str], object] = {}
 
 #: (ctx_key, fn name) → the first full generation seen: the delta base.
-#: The campaign executor warms this with the transformed-*pristine* module
-#: of each variant, so every per-site generation deltas against pristine
+#: The campaign executor warms this with each transformed-*pristine* module
+#: it uses, so every per-site generation deltas against pristine
 #: and re-emits only the chains the fault transform touched.
 _BASE_INFO: Dict[Tuple[str, str], GeneratedFunction] = {}
 _BASE_INFO_MAX = 512
@@ -583,8 +583,9 @@ def _code_for(fn: Function, ctx: ProgramContext, ctx_key: str, pyname: str):
 
 #: module → {rt_spec: CompiledProgram}, weak on the module so campaign
 #: clones are collectable (CompiledProgram must hold no strong module
-#: reference).  The inner dict holds one program per specialization spec —
-#: in practice one (generic *or* the campaign variant's spec) per module.
+#: reference).  The inner dict holds one program per specialization spec:
+#: a transformed module is shared by every variant of its transform
+#: configuration, so it holds one per diversity spec those variants bind.
 _PROGRAMS: "weakref.WeakKeyDictionary[Module, Dict[Optional[Tuple], CompiledProgram]]" = (
     weakref.WeakKeyDictionary()
 )

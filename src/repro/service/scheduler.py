@@ -9,12 +9,14 @@ stages:
    seeds, design)`` campaign jobs, with the variant list append-only so
    tuple indices stay stable across requests, and compute each tuple's
    content address (the persistent store's
-   :func:`~repro.eval.store.experiment_key`).  Golden runs, site lists
+   :func:`~repro.eval.store.experiment_key`).  One harness per
+   ``(workload, scale)`` serves every cell of it; golden runs, site lists
    and base transforms come from the process-wide build table
    (:mod:`repro.eval.builds`), keyed by content: cells that differ only
-   in seeds share all of them, and a new variant's base transform is
-   built (or served) at admission.  Store admission (``get_many``) also
-   happens here, off the event loop.
+   in seeds share all of them, variants that differ only in diversity
+   share a base transform, and a new variant's base transform is built
+   (or served) at admission.  Store admission (``get_many``) also happens
+   here, off the event loop.
 2. **Admission** (event loop): each tuple is served from the in-memory
    completed table, served from the store lookup, joined onto an
    in-flight duplicate, or scheduled as new work.  All dedupe state is
@@ -105,6 +107,8 @@ class CampaignScheduler:
         #: expansion thread), so indices handed out to earlier requests stay
         #: valid while the run thread is mid-batch.
         self._jobs: Dict[Tuple, CampaignJob] = {}
+        #: one harness per (workload, scale), shared by every cell of it.
+        self._harnesses: Dict[Tuple[str, int], WorkloadHarness] = {}
         #: build-table traffic caused by this daemon's threads.
         self.builds = BuildCounts()
         self._expand_pool = ThreadPoolExecutor(1, thread_name_prefix="dpmr-expand")
@@ -303,11 +307,13 @@ class CampaignScheduler:
         key = (workload, scale, kind, percent, tuple(seeds), design)
         job = self._jobs.get(key)
         if job is None:
-            from ..apps import app_factory
+            harness = self._harnesses.get((workload, scale))
+            if harness is None:
+                from ..apps import app_factory
 
-            harness = WorkloadHarness(
-                workload, app_factory(workload, scale), config=self.config
-            )
+                harness = self._harnesses[(workload, scale)] = WorkloadHarness(
+                    workload, app_factory(workload, scale), config=self.config
+                )
             job = job_for_harness(harness, [], kind, percent=percent, seeds=seeds)
             self._jobs[key] = job
         return job
@@ -318,7 +324,8 @@ class CampaignScheduler:
         """Canonical variant indices for ``names``, appending new ones.
 
         A new variant's base transform is fetched from the build table
-        (built on its content's first use) at admission.
+        (built on the first use of its content and transform
+        configuration) at admission.
         """
         from ..machine.compile import inline_runtime_enabled
 

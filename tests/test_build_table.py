@@ -2,11 +2,11 @@
 
 Every build product — golden run, pristine snapshot, site list, base
 transform, finished faulty build — is keyed by exactly what determines it,
-so jobs that differ only in seeds, variant list or order, or fault kind
-share what they have in common, and a repeated request builds nothing.
-These tests pin the counts (deterministic, unlike wall time) and that
-sharing, eviction, the inline-runtime flag and concurrency never change a
-record.
+so jobs that differ only in seeds, variant list or order, or fault kind,
+and variants that differ only in diversity, share what they have in
+common, and a repeated request builds nothing.  These tests pin the
+counts (deterministic, unlike wall time) and that sharing, eviction, the
+inline-runtime flag and concurrency never change a record.
 """
 
 from __future__ import annotations
@@ -19,20 +19,26 @@ import time
 import pytest
 
 from repro.apps import app_factory
+from repro.core.diversity import RearrangeHeap, SegregatedReplicas
+from repro.core.policies import AllLoadsPolicy, static_50
 from repro.eval import (
     CampaignRequest,
     ExecConfig,
+    Variant,
     WorkloadHarness,
+    diversity_variants,
     effective_workers,
     job_for_harness,
     manifest_section,
+    policy_variants,
     resolve_variants,
     run,
+    stdapp_variant,
 )
 from repro.eval import builds
 from repro.eval import parallel as P
 from repro.eval.builds import build_table, reset_build_table
-from repro.faultinject import HEAP_ARRAY_RESIZE, IMMEDIATE_FREE
+from repro.faultinject import FAULT_KINDS, HEAP_ARRAY_RESIZE, IMMEDIATE_FREE
 from repro.obs.manifest import RunManifest, usable_cpu_count
 from repro.service import ServiceClient, ServiceDaemon
 
@@ -43,8 +49,15 @@ REQUEST = CampaignRequest(
     seeds=(3,),
     max_sites=2,
 )
-#: DPMR variants (base transforms) per workload of REQUEST.
-N_DPMR = 3
+#: DPMR variants per workload of REQUEST; each looks its base transform up.
+N_DPMR_VARIANTS = 3
+#: Distinct transforms (base transforms built) per workload of REQUEST:
+#: "no-diversity" and "all-loads" differ only in diversity and share one.
+N_DPMR = 2
+#: Distinct faulty builds per (workload, site): stdapp's plus one per transform.
+N_SITE_BUILDS = 1 + N_DPMR
+#: REQUEST's faulty builds: workloads × sites × distinct builds.
+N_BUILDS = 2 * 2 * N_SITE_BUILDS
 
 
 def sigs(result):
@@ -64,13 +77,14 @@ def test_repeated_request_builds_nothing():
     cold = run(REQUEST, config=ExecConfig())
     n = len(cold.records)
     assert n == 2 * 2 * 4  # workloads × sites × variants
-    assert builds_of(cold.manifest) == (2, 2 * N_DPMR, n, 0)
+    assert builds_of(cold.manifest) == (2, 2 * N_DPMR, N_BUILDS, 0)
     for _ in range(2):
         again = run(REQUEST, config=ExecConfig())
         m = again.manifest
         assert builds_of(m) == (0, 0, 0, 0)
-        assert (m.golden_served, m.base_served, m.site_served) == (2, 2 * N_DPMR, n)
-        assert f"base built=0 served={2 * N_DPMR}" in manifest_section(m)
+        served = (m.golden_served, m.base_served, m.site_served)
+        assert served == (2, 2 * N_DPMR_VARIANTS, n)
+        assert f"base built=0 served={2 * N_DPMR_VARIANTS}" in manifest_section(m)
         assert sigs(again) == sigs(cold)
         # Nothing was transformed, so the per-job cache stats are zero too.
         assert all(j.cache_hits == j.cache_misses == 0 for j in m.jobs)
@@ -92,7 +106,7 @@ def test_requests_differing_in_seeds_order_or_kind_share_base_transforms(other):
     shared = run(other, config=ExecConfig())
     m = shared.manifest
     assert (m.golden_built, m.base_built) == (0, 0)
-    assert m.base_served == 2 * N_DPMR
+    assert m.base_served == 2 * N_DPMR_VARIANTS
     reset_build_table()
     fresh = run(other, config=ExecConfig())
     assert fresh.manifest.base_built == 2 * N_DPMR
@@ -121,8 +135,9 @@ def test_daemon_primed_with_seed_sets_builds_each_base_transform_once(tmp_path):
                     )
             counts = client.status()["builds"]
     c, k = len(cells), len(seed_sets)
-    assert counts["base_built"] == c * v
-    assert counts["base_served"] == (k - 1) * c * v
+    t = 2  # distinct transforms: no-diversity and pad-malloc-8 share one
+    assert counts["base_built"] == c * t
+    assert counts["base_served"] == k * c * v - c * t
     assert counts["golden_built"] == 1
     assert counts["site_built"] == 0  # max_sites=0: nothing runs
     assert counts["builds_evicted"] == 0
@@ -201,7 +216,7 @@ def test_inline_runtime_flag_keys_separate_entries():
     on = run(REQUEST, config=ExecConfig(inline_rt=True))
     off = run(REQUEST, config=ExecConfig(inline_rt=False))
     assert off.manifest.base_built == 2 * N_DPMR
-    assert off.manifest.site_built == len(on.records)
+    assert off.manifest.site_built == N_BUILDS
     assert sigs(on) == sigs(off)
     # Both flags' entries coexist: neither run replaced the other's.
     for inline_rt in (True, False):
@@ -245,9 +260,30 @@ def test_job_manifest_cache_stats_are_per_campaign():
     jobs = [job_for_harness(harness, variants, HEAP_ARRAY_RESIZE, max_sites=2)]
     first = run(jobs, config=ExecConfig()).manifest.jobs[0]
     second = run(jobs, config=ExecConfig()).manifest.jobs[0]
-    assert (first.cache_hits, first.cache_misses) == (4, 4)
+    # 2 sites × 1 transform (no-diversity and all-loads share it)
+    assert (first.cache_hits, first.cache_misses) == (2, 2)
     assert (second.cache_hits, second.cache_misses) == (0, 0)
-    assert second.builds_cached == first.builds_cached == 2 * 3
+    assert second.builds_cached == first.builds_cached == 2 * 2
+
+
+def test_variants_appended_mid_campaign_leave_the_manifest_intact():
+    """The service appends variants to a canonical job while a batch runs;
+    the batch's per-job telemetry covers the variants its view was made
+    for."""
+    harness = WorkloadHarness("mcf", app_factory("mcf", 1))
+    variants = resolve_variants(("stdapp", "no-diversity"))
+    job = job_for_harness(harness, variants, HEAP_ARRAY_RESIZE, max_sites=2)
+    extra = resolve_variants(("static-10%",))[0]
+
+    def grow(item, record, source):
+        if extra not in job.variants:
+            job.variants.append(extra)
+
+    records, manifest = P.run_campaign_jobs_with_manifest(
+        [job], config=ExecConfig(), on_record=grow
+    )
+    assert len(records) == 2 * 2
+    assert manifest.jobs[0].builds_cached == 2 * 2
 
 
 def test_store_warm_request_transforms_nothing(tmp_path):
@@ -259,6 +295,63 @@ def test_store_warm_request_transforms_nothing(tmp_path):
     assert m.store_hits == len(cold.records)
     assert (m.base_built, m.base_served, m.site_built) == (0, 0, 0)
     assert sigs(warm) == sigs(cold)
+
+
+ORACLE = ExecConfig(compiled=False, incremental=False)
+
+
+@pytest.mark.parametrize("design", ["sds", "mds"])
+def test_diversity_and_policy_variants_share_transforms(design):
+    """Diversity never reaches the transform: the seven diversity variants,
+    the all-loads policy variant and the stateful segregated-replica
+    ablation share one transform, the other six policies get one each."""
+    variants = (
+        [stdapp_variant()]
+        + diversity_variants(design)
+        + policy_variants(design)
+        + [
+            Variant(
+                name="ablation-segregated",
+                design=design,
+                diversity=SegregatedReplicas(),
+                policy=AllLoadsPolicy(),
+            )
+        ]
+    )
+    harness = WorkloadHarness("mcf", app_factory("mcf", 1))
+    jobs = [job_for_harness(harness, variants, kind, max_sites=2) for kind in FAULT_KINDS]
+    result = run(jobs, config=ExecConfig())
+    m = result.manifest
+    n_sites = sum(len(job.sites) for job in jobs)
+    assert m.base_built == 7  # per (app, design), whatever the fault kind
+    assert m.base_served == len(jobs) * (len(variants) - 1) - 7
+    assert m.site_built == n_sites * (1 + 7)  # stdapp + one per transform
+    assert m.site_served == n_sites * len(variants) - m.site_built
+    assert [j.builds_cached for j in m.jobs] == [len(j.sites) * 8 for j in jobs]
+    assert sigs(result) == sigs(run(jobs, config=ORACLE))
+
+
+def test_same_named_policies_with_different_seeds_get_their_own_builds():
+    """Two ``static-50%`` variants that differ only in the policy seed
+    transform differently; one must never be served the other's builds."""
+    harness = WorkloadHarness("equake", app_factory("equake", 1))
+
+    def campaign(seed):
+        variant = Variant(
+            name="static-50%",
+            diversity=RearrangeHeap(),
+            policy=static_50(seed=seed),
+        )
+        return [job_for_harness(harness, [variant], kind) for kind in FAULT_KINDS]
+
+    first = run(campaign(1), config=ExecConfig())
+    second = run(campaign(2), config=ExecConfig())
+    assert second.manifest.base_built == 1
+    assert second.manifest.site_built == len(second.records)
+    reset_build_table()
+    fresh = run(campaign(2), config=ExecConfig())
+    assert sigs(second) == sigs(fresh) == sigs(run(campaign(2), config=ORACLE))
+    assert sigs(second) != sigs(first)  # the seed matters to these records
 
 
 class TestUsableCores:

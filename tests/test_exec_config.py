@@ -274,7 +274,7 @@ class TestRunFacade:
         assert loaded.counter_totals == res.manifest.counter_totals
 
     def test_forced_fork_manifest_reports_parallelism(self, harness):
-        # 1-core containers always serialize; pretend the machine is big
+        # 1-core hosts always serialize; pretend the machine is big
         # enough that the pool genuinely engages, and check the manifest
         # tells the truth while the records stay bit-identical.
         all_variants = [stdapp_variant()] + diversity_variants("sds")
@@ -282,7 +282,7 @@ class TestRunFacade:
         serial = run(
             big, all_variants, kind=HEAP_ARRAY_RESIZE, config=ExecConfig(jobs=1)
         )
-        with mock.patch("repro.eval.parallel.os.cpu_count", return_value=4):
+        with mock.patch("repro.eval.parallel.usable_cpu_count", return_value=4):
             parallel = run(
                 big,
                 all_variants,

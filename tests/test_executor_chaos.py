@@ -74,7 +74,7 @@ def run_with_chaos(harness, variants, hook, config, kind=KIND):
     supervised parallel path even though the campaign is tiny."""
     with mock.patch.object(par, "_CHAOS_HOOK", hook), mock.patch.object(
         par, "MIN_ITEMS_PER_WORKER", 1
-    ), mock.patch("os.cpu_count", return_value=4):
+    ), mock.patch.object(par, "usable_cpu_count", return_value=4):
         return run(harness, variants, kind=kind, config=config)
 
 

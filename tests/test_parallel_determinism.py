@@ -147,9 +147,12 @@ class TestEffectiveWorkers:
         serial = harness.run_campaign(
             variants, HEAP_ARRAY_RESIZE, config=ExecConfig(jobs=1)
         )
-        with mock.patch("os.cpu_count", return_value=4):
+        with mock.patch("repro.eval.parallel.usable_cpu_count", return_value=4):
             job = job_for_harness(harness, variants, HEAP_ARRAY_RESIZE)
-            parallel = run_campaign_jobs([job], config=ExecConfig(jobs=2))
+            parallel, manifest = run_campaign_jobs_with_manifest(
+                [job], config=ExecConfig(jobs=2)
+            )
+        assert manifest.effective_jobs == 2
         assert [record_signature(r) for r in serial] == [
             record_signature(r) for r in parallel
         ]
@@ -183,8 +186,11 @@ class TestIncrementalThroughExecutor:
         # transform caches via fork; records must stay byte-identical.
         job = job_for_harness(harness, variants, HEAP_ARRAY_RESIZE)
         serial = run_campaign_jobs([job], config=ExecConfig(jobs=1))
-        with mock.patch("os.cpu_count", return_value=4):
-            parallel = run_campaign_jobs([job], config=ExecConfig(jobs=2))
+        with mock.patch("repro.eval.parallel.usable_cpu_count", return_value=4):
+            parallel, manifest = run_campaign_jobs_with_manifest(
+                [job], config=ExecConfig(jobs=2)
+            )
+        assert manifest.effective_jobs == 2
         assert [record_signature(r) for r in serial] == [
             record_signature(r) for r in parallel
         ]
