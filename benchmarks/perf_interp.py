@@ -25,21 +25,17 @@ record-signature identity — and records the codegen cache traffic of a
 cold first run and a warm re-run (delta codegen makes per-site compiles
 cheap; the caches make re-runs nearly free).
 
-The ``inline_rt`` section compares the inlined-runtime engine (PR 8:
-DPMR hooks folded into generated code, parametrised per diversity spec
-at bind time, plus provenance-stamped delta transforms) against the
-PR 7 compiled-default engine (``DPMR_INLINE_RT=0``), each arm from cold
-process caches with fresh job objects per rep, and decomposes the
-campaign into per-stage transform / codegen / run buckets.  It gates
-warm speedup ≥1.3x, warm delta-transform hit rate ≥80%, and record
-identity against both the old engine and the interpreter.
-
 Writes ``BENCH_interp.json`` at the repo root so future PRs have a perf
 trajectory to regress against.  The ``seed_baseline`` block is frozen: it
 holds the numbers measured on the pre-fast-path seed tree (PR 1, same
 single-core container) and must not be re-measured.  Every full run also
 appends a compact ``history`` snapshot (date, git sha, headline ips and
-campaign seconds), so the trajectory survives section rewrites.
+campaign seconds), so the trajectory survives section rewrites.  Every
+section a full run does not write is carried over unchanged: the ones
+``perf_build.py``, ``perf_store.py`` and ``perf_service.py`` maintain, and
+frozen history such as ``shard`` and ``inline_rt`` (the last A/B of the
+inlined-runtime engine against ``DPMR_INLINE_RT=0``, before that opt-out
+was retired).
 
 Usage::
 
@@ -441,64 +437,6 @@ def smoke() -> None:
             f"≥{CAMPAIGN_COMPILED_MIN_SPEEDUP}x)"
         )
 
-    # 6. Inlined-runtime gate: the default engine now folds the DPMR
-    #    runtime hooks into generated code (PR 8); ``DPMR_INLINE_RT=0`` is
-    #    the PR 7 compiled-default engine.  Both arms start from cold
-    #    process caches and run twice on fresh job objects; the second rep
-    #    is the warm steady state the bench gates at full scale.  The
-    #    inlined campaign must be signature-identical to the interpreter
-    #    campaign from step 5 and ≥INLINE_RT_MIN_SPEEDUP warm.
-    from repro.eval.builds import reset_build_table
-    from repro.machine.compile import reset_codegen_caches
-
-    def _inline_arm(inline):
-        reset_codegen_caches(code_cache=True)
-        times, records = [], None
-        for _ in range(2):
-            # Fresh jobs rebuild every transform: the build table would
-            # otherwise serve the first rep's builds to the second.
-            reset_build_table()
-            arm_jobs = [
-                job_for_harness(
-                    WorkloadHarness("mcf", app_factory("mcf", gate_scale)),
-                    gate_variants,
-                    HEAP_ARRAY_RESIZE,
-                )
-            ]
-            with _gc_disabled():
-                t0 = time.perf_counter()
-                records = run_campaign_jobs(
-                    arm_jobs, config=ExecConfig(jobs=1, inline_rt=inline)
-                )
-                times.append(time.perf_counter() - t0)
-        return times, records
-
-    off_times, off_records = _inline_arm(False)
-    on_times, on_records = _inline_arm(True)
-    on_sigs = [r.signature() for r in on_records]
-    if on_sigs != [r.signature() for r in interp_records]:
-        sys.exit(
-            "FATAL: inlined-runtime campaign records diverged from the "
-            "interpreter campaign"
-        )
-    if on_sigs != [r.signature() for r in off_records]:
-        sys.exit(
-            "FATAL: inlined-runtime campaign records diverged from the "
-            "compiled-default (DPMR_INLINE_RT=0) campaign"
-        )
-    inline_ratio = off_times[1] / on_times[1]
-    print(
-        f"smoke: inlined-runtime campaign warm {on_times[1]:.3f}s vs "
-        f"compiled-default {off_times[1]:.3f}s ({inline_ratio:.2f}x, cold "
-        f"{off_times[0] / on_times[0]:.2f}x), records identical to the "
-        "interpreter"
-    )
-    if inline_ratio < INLINE_RT_MIN_SPEEDUP:
-        sys.exit(
-            f"FATAL: inlined-runtime campaign only {inline_ratio:.2f}x the "
-            f"compiled-default engine warm (gate requires "
-            f"≥{INLINE_RT_MIN_SPEEDUP}x)"
-        )
     print("smoke: OK")
 
 
@@ -656,182 +594,6 @@ def bench_campaign_compiled() -> dict:
     }
 
 
-#: Campaign-level floor for the inlined-runtime engine vs the PR 7
-#: compiled-default engine (``DPMR_INLINE_RT=0``), warm fresh-jobs reps.
-INLINE_RT_MIN_SPEEDUP = 1.3
-#: Minimum warm delta-transform hit rate: of the per-site transform builds,
-#: the fraction served by instruction-granular journal replay (splices)
-#: rather than whole-function re-translation (refusals).
-INLINE_RT_MIN_DELTA_HIT_RATE = 0.8
-
-
-def _staged_inline_sweep(inline: bool) -> dict:
-    """Per-stage wall-clock of the resize campaign's build pipeline.
-
-    Decomposes each (app, variant, site) experiment into the three stages
-    the inlined-runtime work targets — DPMR *transform* (base incremental
-    compiler construction + per-site delta builds), *codegen* (compiled
-    program for the base and each faulty module, under the variant's
-    runtime spec when ``inline``), and *run* (compiled execution) — and
-    buckets the seconds per stage.  Uses the diversity variants only: the
-    stdapp variant has no DPMR transform, so it has no transform/codegen
-    split to attribute.  Also tallies the delta-transform journal-replay
-    stats accumulated by the incremental compilers.
-    """
-    from repro.core.runtime import diversity_codegen_spec
-    from repro.faultinject.injector import inject
-    from repro.machine.compile import compiled_program_for, set_inline_runtime
-
-    variants = diversity_variants("sds")
-    prev = set_inline_runtime(inline)
-    try:
-        with _gc_disabled():
-            t_tx = t_cg = t_run = 0.0
-            experiments = 0
-            splices = refusals = replayed = translated = 0
-            for app in WORKLOAD_ORDER:
-                job = job_for_harness(
-                    WorkloadHarness(app, app_factory(app, 1)),
-                    variants,
-                    HEAP_ARRAY_RESIZE,
-                )
-                pristine = job.factory()
-                t0 = time.perf_counter()
-                compilers = [
-                    v.incremental_compiler(pristine) for v in job.variants
-                ]
-                t_tx += time.perf_counter() - t0
-                specs = [
-                    diversity_codegen_spec(c.compiler.diversity)
-                    if inline
-                    else None
-                    for c in compilers
-                ]
-                t0 = time.perf_counter()
-                for inc, spec in zip(compilers, specs):
-                    compiled_program_for(inc.base_module, spec)
-                t_cg += time.perf_counter() - t0
-                for site in job.sites:
-                    for inc, spec in zip(compilers, specs):
-                        t0 = time.perf_counter()
-                        clone = pristine.clone(mutable_functions=(site.function,))
-                        faulty = inject(clone, site, job.percent)
-                        build = inc.compile(faulty)
-                        t1 = time.perf_counter()
-                        compiled_program_for(build.module, spec)
-                        t2 = time.perf_counter()
-                        build.run(
-                            argv=job.argv,
-                            max_cycles=job.timeout,
-                            seed=job.seeds[0],
-                            compiled=True,
-                        )
-                        t3 = time.perf_counter()
-                        t_tx += t1 - t0
-                        t_cg += t2 - t1
-                        t_run += t3 - t2
-                        experiments += 1
-                for inc in compilers:
-                    splices += inc.stats.delta_splices
-                    refusals += inc.stats.delta_refusals
-                    replayed += inc.stats.replayed_instructions
-                    translated += inc.stats.translated_instructions
-        delta_total = splices + refusals
-        replay_total = replayed + translated
-        return {
-            "transform_s": round(t_tx, 3),
-            "codegen_s": round(t_cg, 3),
-            "run_s": round(t_run, 3),
-            "total_s": round(t_tx + t_cg + t_run, 3),
-            "experiments": experiments,
-            "delta_splices": splices,
-            "delta_refusals": refusals,
-            "delta_hit_rate": round(splices / delta_total, 3)
-            if delta_total
-            else None,
-            "delta_replay_rate": round(replayed / replay_total, 3)
-            if replay_total
-            else None,
-        }
-    finally:
-        set_inline_runtime(prev)
-
-
-def bench_inline_rt() -> dict:
-    """The inlined-runtime engine vs the PR 7 compiled-default engine.
-
-    Both arms run the same resize campaign as ``bench_campaign_compiled``
-    through the real executor, serial.  Each arm starts from fully cold
-    process caches (``reset_codegen_caches(code_cache=True)``) and runs
-    ``CAMPAIGN_REPS`` reps on *fresh* job objects each rep: rep 0 is the
-    cold first-campaign cost, the best of the later reps is the warm
-    steady state (process caches hot, every per-module L1 memo cold) that
-    a resumed or multi-workload campaign sees.  Fresh jobs per rep matter:
-    reusing job objects would retain finished builds and time nothing but
-    runs.  The ``stages`` sub-section decomposes the same sweep into
-    transform / codegen / run buckets, cold and warm, per arm; delta
-    stats come from the warm ON sweep.  Signature identity is checked
-    three ways: ON vs OFF, and ON vs a plain interpreter campaign.
-    """
-    from repro.eval.builds import reset_build_table
-    from repro.machine.compile import reset_codegen_caches
-
-    variants = [stdapp_variant()] + diversity_variants("sds")
-    arm_times = {}
-    arm_records = {}
-    for label, inline in (("off", False), ("on", True)):
-        reset_codegen_caches(code_cache=True)
-        reps = []
-        records = None
-        for _ in range(CAMPAIGN_REPS):
-            reset_build_table()  # fresh jobs: no build carried over
-            jobs = _fresh_campaign_jobs(variants)
-            with _gc_disabled():
-                t0 = time.perf_counter()
-                records = run_campaign_jobs(
-                    jobs, config=ExecConfig(jobs=1, inline_rt=inline)
-                )
-                reps.append(time.perf_counter() - t0)
-        arm_times[label] = (reps[0], min(reps[1:]))
-        arm_records[label] = records
-
-    interp_jobs = _fresh_campaign_jobs(variants)
-    interp_records = run_campaign_jobs(
-        interp_jobs, config=ExecConfig(jobs=1, compiled=False)
-    )
-
-    stage_arms = {}
-    for label, inline in (("off", False), ("on", True)):
-        reset_codegen_caches(code_cache=True)
-        cold = _staged_inline_sweep(inline)
-        warm = _staged_inline_sweep(inline)
-        stage_arms[label] = {"cold": cold, "warm": warm}
-
-    on_sigs = [r.signature() for r in arm_records["on"]]
-    identical_off = on_sigs == [r.signature() for r in arm_records["off"]]
-    identical_interp = on_sigs == [r.signature() for r in interp_records]
-    off_cold, off_warm = arm_times["off"]
-    on_cold, on_warm = arm_times["on"]
-    warm_delta = stage_arms["on"]["warm"]
-    return {
-        "kind": HEAP_ARRAY_RESIZE,
-        "apps": list(WORKLOAD_ORDER),
-        "variants": [v.name for v in variants],
-        "records": len(arm_records["on"]),
-        "off_cold_s": round(off_cold, 3),
-        "off_warm_s": round(off_warm, 3),
-        "on_cold_s": round(on_cold, 3),
-        "on_warm_s": round(on_warm, 3),
-        "speedup_cold": round(off_cold / on_cold, 2),
-        "speedup_warm": round(off_warm / on_warm, 2),
-        "records_identical_to_compiled_default": identical_off,
-        "records_identical_to_interp": identical_interp,
-        "stages": stage_arms,
-        "delta_hit_rate_warm": warm_delta["delta_hit_rate"],
-        "delta_replay_rate_warm": warm_delta["delta_replay_rate"],
-    }
-
-
 def _git_sha() -> str:
     try:
         import subprocess
@@ -848,6 +610,14 @@ def _git_sha() -> str:
         return "unknown"
 
 
+def carry_over_sections(previous: dict, payload: dict) -> dict:
+    """``payload`` plus every section of ``previous`` it does not write:
+    other scripts' sections and frozen history survive a full run."""
+    for section, value in previous.items():
+        payload.setdefault(section, value)
+    return payload
+
+
 def main() -> None:
     if "--smoke" in sys.argv[1:]:
         smoke()
@@ -860,7 +630,6 @@ def main() -> None:
     obs = bench_obs()
     campaign = bench_campaign(jobs)
     campaign_compiled = bench_campaign_compiled()
-    inline_rt = bench_inline_rt()
     previous = json.loads(OUT_PATH.read_text()) if OUT_PATH.exists() else {}
     payload = {
         "meta": {
@@ -885,12 +654,7 @@ def main() -> None:
         "obs": obs,
         "campaign": campaign,
         "campaign_compiled": campaign_compiled,
-        "inline_rt": inline_rt,
     }
-    # Preserve the sections maintained by perf_build.py / perf_store.py.
-    for section in ("build", "store"):
-        if section in previous:
-            payload[section] = previous[section]
     # Per-PR trajectory: append a compact snapshot instead of silently
     # overwriting — the headline numbers of every bench run stay
     # reconstructible from the file alone.  A re-run at the same commit
@@ -903,12 +667,11 @@ def main() -> None:
         "compiled_ips": compiled["instructions_per_s"],
         "campaign_serial_s": campaign["serial_s"],
         "campaign_compiled_serial_s": campaign_compiled["serial_s"],
-        "inline_rt_warm_s": inline_rt["on_warm_s"],
-        "inline_rt_speedup_warm": inline_rt["speedup_warm"],
     }
     payload["history"] = [
         h for h in previous.get("history", []) if h.get("git_sha") != sha
     ] + [snapshot]
+    payload = carry_over_sections(previous, payload)
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
     if not campaign["parallel_identical_to_serial"]:
@@ -929,34 +692,6 @@ def main() -> None:
             f"FATAL: compiled-default campaign only "
             f"{campaign_compiled['speedup_vs_interp']}x vs the interpreter "
             f"(target ≥{CAMPAIGN_COMPILED_MIN_SPEEDUP}x)"
-        )
-    if not inline_rt["records_identical_to_compiled_default"]:
-        sys.exit(
-            "FATAL: inlined-runtime campaign diverged from the "
-            "compiled-default campaign"
-        )
-    if not inline_rt["records_identical_to_interp"]:
-        sys.exit("FATAL: inlined-runtime campaign diverged from interpreter")
-    if inline_rt["speedup_warm"] < INLINE_RT_MIN_SPEEDUP:
-        sys.exit(
-            f"FATAL: inlined-runtime campaign only "
-            f"{inline_rt['speedup_warm']}x the compiled-default engine warm "
-            f"(target ≥{INLINE_RT_MIN_SPEEDUP}x)"
-        )
-    if (
-        inline_rt["delta_hit_rate_warm"] is None
-        or inline_rt["delta_hit_rate_warm"] < INLINE_RT_MIN_DELTA_HIT_RATE
-    ):
-        sys.exit(
-            f"FATAL: warm delta-transform hit rate "
-            f"{inline_rt['delta_hit_rate_warm']} below "
-            f"{INLINE_RT_MIN_DELTA_HIT_RATE}"
-        )
-    if obs["null_tracer_overhead_pct"] > TRACE_OVERHEAD_TOLERANCE * 100:
-        sys.exit(
-            "FATAL: disabled-tracer path exceeds the "
-            f"{TRACE_OVERHEAD_TOLERANCE:.0%} overhead budget "
-            f"({obs['null_tracer_overhead_pct']:+.2f}%)"
         )
 
 

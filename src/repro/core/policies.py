@@ -67,14 +67,6 @@ class ComparisonPolicy:
     def restore_compile_state(self, state) -> None:
         """Restore a snapshot taken by :meth:`compile_state`."""
 
-    def advance_compile_state(self, sites: int) -> None:
-        """Fast-forward compile-time state past ``sites`` load sites without
-        emitting them (instruction-granular delta transforms skip the
-        replayed sites).  Must consume state exactly as ``sites`` calls of
-        :meth:`emit_load_check` would.  A policy with compile state that
-        does not override this is refused by the delta path (it falls back
-        to whole-function re-translation), so the no-op default is safe."""
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<policy {self.name}>"
 
@@ -112,11 +104,6 @@ class StaticLoadCheckingPolicy(ComparisonPolicy):
 
     def restore_compile_state(self, state) -> None:
         self._rng.setstate(state)
-
-    def advance_compile_state(self, sites: int) -> None:
-        # emit_load_check consumes exactly one draw per site.
-        for _ in range(sites):
-            self._rng.random()
 
     def emit_load_check(self, tx, loaded, replica_ptr) -> None:
         if self._rng.random() < self.fraction:

@@ -333,34 +333,16 @@ class FunctionTranslator:
 
     # -- setup ------------------------------------------------------------
 
-    def translate(self, observer=None) -> None:
-        """Translate the whole source function.
-
-        ``observer`` (see ``repro.core.incremental``) is notified around
-        every step — ``attach(self)`` after the builder exists,
-        ``enter_block(block)`` per source block, ``instruction(inst)``
-        immediately *before* each instruction is translated, and
-        ``finish()`` at the end — so an instruction-granular journal of the
-        translation can be recorded without altering emission order.
-        """
+    def translate(self) -> None:
+        """Translate the whole source function."""
         self._bind_params()
         for block in self.src_fn.blocks:
             self.out_fn.add_block(f"o.{block.label}")
         self.builder = IRBuilder(self.out_fn, self.out_fn.block(f"o.{self.src_fn.blocks[0].label}"))
-        if observer is not None:
-            observer.attach(self)
         for block in self.src_fn.blocks:
-            if observer is not None:
-                # before repositioning: the previous block's end token must
-                # capture the builder position its translation finished at
-                observer.enter_block(block)
             self.builder.position_at_end(self.out_fn.block(f"o.{block.label}"))
             for inst in block.instructions:
-                if observer is not None:
-                    observer.instruction(inst)
                 self._translate_instruction(inst)
-        if observer is not None:
-            observer.finish()
 
     def _bind_params(self) -> None:
         out_params = list(self.out_fn.params)

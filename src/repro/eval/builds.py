@@ -21,12 +21,12 @@ entry          key (after the kind tag)
                first base transform
 ``golden``     (pristine digest, argv)
 ``sites``      (pristine digest, fault kind, percent)
-``base``       (pristine digest, transform digest, inline-runtime
-               flag): a :class:`BaseTransform`
+``base``       (pristine digest, transform digest): a
+               :class:`BaseTransform`
 ``site``       (pristine digest, fault kind, percent, site id, transform
-               digest, inline-runtime flag): a finished faulty build —
-               the faulty module and its DPMR build, or ``None`` for a
-               variant without DPMR (whose transform digest is ``None``)
+               digest): a finished faulty build — the faulty module and
+               its DPMR build, or ``None`` for a variant without DPMR
+               (whose transform digest is ``None``)
 =============  =======================================================
 
 The transform digest
@@ -38,13 +38,9 @@ SDS/MDS transform reads.  The diversity transformation only shapes the
 replica heap at run time, so it is not part of any key: a tuple binds
 its variant's name and diversity to the shared product
 (:meth:`~repro.eval.variants.Variant.bind`).  The result store keys
-records on ``variant_fingerprint`` instead; that is a record's identity,
-not a build's.
-
-The inline-runtime flag is part of the transform keys because
-``IncrementalDpmrCompiler`` reads it at construction (journaling and
-provenance stamps): an entry built under ``DPMR_INLINE_RT=1`` never
-serves ``=0``.
+records on ``variant_fingerprint`` instead, which names the variant and
+its diversity as well as the transform digest; that is a record's
+identity, not a build's.
 
 **Bound.**  One LRU over all kinds with a constant entry budget
 (:data:`BUILD_TABLE_ENTRIES`); inserting past it evicts the least
@@ -83,9 +79,9 @@ from ..ir.verifier import verify_module
 #: Entry budget of the table, over all kinds together.  The benchmark
 #: workloads hold about 140 entries (the service stream: 56 base
 #: transforms and 64 faulty builds), so neither evicts.  On the shipped
-#: apps, at any scale, a base transform takes about 0.3 MB and a faulty
-#: build about 0.65 MB with its compiled code, so a full table stays under
-#: about 350 MB.
+#: apps at scale 1, a base transform takes about 0.2 MB (at most 0.35 MB)
+#: and a faulty build about 0.3 MB (at most 0.8 MB) with its compiled
+#: code, so a full table stays under about 400 MB.
 BUILD_TABLE_ENTRIES = 512
 
 

@@ -22,10 +22,6 @@ Knobs (all optional):
                           tier (on by default; bit-identical records; ignored
                           when observability forces the instrumented
                           interpreter)
-``DPMR_INLINE_RT``        ``0``/``false`` opts out of runtime specialization
-                          on the compiled tier: variant-inlined DPMR hooks in
-                          generated code plus instruction-granular delta
-                          transforms (on by default; bit-identical records)
 ========================  =====================================================
 
 ``DPMR_SHARDS`` is retired with the shard fabric it selected: set to
@@ -55,7 +51,6 @@ STORE_ENV_VAR = "DPMR_STORE"
 RETRIES_ENV_VAR = "DPMR_RETRIES"
 EXP_TIMEOUT_ENV_VAR = "DPMR_EXP_TIMEOUT"
 COMPILE_ENV_VAR = "DPMR_COMPILE"
-INLINE_RT_ENV_VAR = "DPMR_INLINE_RT"
 #: retired: rejected unless unset or 1 (see :meth:`ExecConfig.from_env`).
 SHARDS_ENV_VAR = "DPMR_SHARDS"
 
@@ -139,13 +134,6 @@ class ExecConfig:
     #: ``DPMR_COMPILE=0`` to opt out; whenever a run needs tracing or
     #: counters it falls back to the instrumented interpreter regardless.
     compiled: bool = True
-    #: runtime specialization on the compiled tier: DPMR hooks for stateless
-    #: diversity policies are inlined into generated code, and per-site
-    #: builds use instruction-granular delta transforms.  Bit-transparent
-    #: like ``compiled`` (and likewise excluded from store fingerprints);
-    #: ``DPMR_INLINE_RT=0`` restores the call_intrinsic + whole-function
-    #: re-transform behaviour of the plain compiled tier.
-    inline_rt: bool = True
 
     @classmethod
     def from_env(cls, env: Optional[Mapping[str, str]] = None) -> "ExecConfig":
@@ -179,7 +167,6 @@ class ExecConfig:
             retries=max(0, _parse_int(env, RETRIES_ENV_VAR, DEFAULT_RETRIES)),
             exp_timeout_s=max(0.0, _parse_float(env, EXP_TIMEOUT_ENV_VAR, 0.0)),
             compiled=_parse_flag(env, COMPILE_ENV_VAR, True),
-            inline_rt=_parse_flag(env, INLINE_RT_ENV_VAR, True),
         )
 
     # -- derived ------------------------------------------------------------

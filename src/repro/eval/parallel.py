@@ -181,18 +181,12 @@ class CampaignJob:
         process, whatever job or variant asks for it.  Fetched in the
         coordinator before forking, so workers inherit the warm transforms.
         """
-        from ..machine.compile import inline_runtime_enabled
-
         pristine, digest = self.pristine_snapshot()
-        inline_rt = inline_runtime_enabled()
         return JobBuildState(
             pristine=pristine,
             digest=digest,
-            inline_rt=inline_rt,
             transform_keys=[v.transform_key() for v in self.variants],
-            bases=[
-                base_transform(pristine, digest, v, inline_rt) for v in self.variants
-            ],
+            bases=[base_transform(pristine, digest, v) for v in self.variants],
         )
 
 
@@ -237,14 +231,12 @@ def job_for_harness(
 
 
 def base_transform(
-    pristine: Module, digest: str, variant: Variant, inline_rt: bool
+    pristine: Module, digest: str, variant: Variant
 ) -> Optional[BaseTransform]:
     """The table's base transform of ``pristine`` under ``variant``'s
     transform configuration (:meth:`Variant.transform_key`).
 
-    None for non-DPMR variants, which need no transform.  ``inline_rt``
-    must be the runtime-specialization flag in force, which the
-    transform reads when it is built.
+    None for non-DPMR variants, which need no transform.
     """
     key = variant.transform_key()
     if key is None:
@@ -258,7 +250,7 @@ def base_transform(
             )
         )
 
-    return build_table().get(("base", digest, key, inline_rt), build)
+    return build_table().get(("base", digest, key), build)
 
 
 #: A finished faulty build: the faulty module and its DPMR build (None
@@ -280,7 +272,6 @@ class JobBuildState:
 
     pristine: Module
     digest: str
-    inline_rt: bool
     transform_keys: List[Optional[str]]
     bases: List[Optional[BaseTransform]]
     cache_hits: int = 0
@@ -302,7 +293,6 @@ class JobBuildState:
             job.percent,
             job.sites[si].site_id,
             self.transform_keys[vi],
-            self.inline_rt,
         )
 
     def cache_stats(self) -> Tuple[int, int, int]:
@@ -555,9 +545,8 @@ def _warm_compiled_bases(
     interpreter at run time exactly as it would without warm-up.
     """
     from ..core.runtime import diversity_codegen_spec
-    from ..machine.compile import compiled_program_for, inline_runtime_enabled
+    from ..machine.compile import compiled_program_for
 
-    inline_rt = inline_runtime_enabled()
     for job, state in zip(jobs, states):
         if state is None:
             continue
@@ -568,11 +557,7 @@ def _warm_compiled_bases(
         for variant, base in zip(job.variants, state.bases):
             if base is None:
                 continue
-            spec = (
-                diversity_codegen_spec(variant.effective_diversity())
-                if inline_rt
-                else None
-            )
+            spec = diversity_codegen_spec(variant.effective_diversity())
             try:
                 compiled_program_for(base.compiler.base_module, spec)
             except Exception:  # pragma: no cover
@@ -780,11 +765,7 @@ def run_campaign_jobs_with_manifest(
     """
     global _WORKER_JOBS, _WORKER_STATES, _WORKER_TRACER, _WORKER_COUNTERS
     global _WORKER_USE_COMPILED
-    from ..machine.compile import (
-        codegen_stats,
-        set_inline_runtime,
-        set_persistent_code_cache,
-    )
+    from ..machine.compile import codegen_stats
     from ..obs.tracer import real_tracer
 
     config = config if config is not None else ExecConfig.from_env()
@@ -798,12 +779,6 @@ def run_campaign_jobs_with_manifest(
     # Observability forces the instrumented interpreter; the compiled tier
     # only engages on bare runs (records are bit-identical either way).
     use_compiled = config.compiled and not counters
-    # Campaign-scoped runtime-specialization toggle: sampled by the build
-    # states below (their transform journals gate on it), by base warming,
-    # and inherited by forked workers.  Restored in the finally.
-    inline_prev = set_inline_runtime(config.inline_rt)
-    persist_prev: Optional[str] = None
-    persist_set = False
     stats = SupervisionStats()
     with build_scope() as builds:
         try:
@@ -879,14 +854,6 @@ def run_campaign_jobs_with_manifest(
                 n_jobs=len(jobs),
                 n_items=len(items),
             )
-            # With a store configured, generated per-site source persists
-            # next to the results (<store>/codegen), so warm-resume
-            # campaigns skip codegen entirely; restored in the finally.
-            if use_compiled and store is not None:
-                persist_prev = set_persistent_code_cache(
-                    os.path.join(store.root, "codegen")
-                )
-                persist_set = True
             if use_compiled and states is not None:
                 _warm_compiled_bases(jobs, states)
             # Coordinator-process snapshot: forked workers' codegen stats do
@@ -962,9 +929,6 @@ def run_campaign_jobs_with_manifest(
                     len(items),
                 )
         finally:
-            set_inline_runtime(inline_prev)
-            if persist_set:
-                set_persistent_code_cache(persist_prev)
             if own_tracer and tracer is not None:
                 tracer.close()
 

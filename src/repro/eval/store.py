@@ -56,14 +56,16 @@ def variant_fingerprint(variant: Variant) -> str:
 
     Uses the *effective* diversity/policy (mirroring
     :meth:`Variant.compiler` defaults) so ``diversity=None`` and an
-    explicit ``NoDiversity()`` fingerprint identically.
+    explicit ``NoDiversity()`` fingerprint identically.  The design and
+    policy enter through the transform digest
+    (:meth:`Variant.transform_key`), which covers the policy's
+    configuration and not just its display name: ``static_50(seed=1)``
+    and ``static_50(seed=2)`` are both ``static-50%``.
     """
     if not variant.dpmr:
         return f"{variant.name}|stdapp"
-    diversity = variant.diversity.name if variant.diversity is not None else "no-diversity"
-    policy = variant.policy.name if variant.policy is not None else "all-loads"
-    design = getattr(variant.design, "value", variant.design)
-    return f"{variant.name}|dpmr|{design}|{diversity}|{policy}"
+    diversity = variant.effective_diversity().name
+    return f"{variant.name}|dpmr|{diversity}|{variant.transform_key()}"
 
 
 def exec_fingerprint(config: ExecConfig) -> str:

@@ -83,8 +83,7 @@ from ..ir.values import (
 from .interpreter import COSTS, _EXPENSIVE_BINOPS
 
 #: Bumped whenever the shape of generated source changes; part of every
-#: persistent code-cache key so stale entries from older generators can
-#: never be loaded (see repro.machine.compile).
+#: delta-cache key (see repro.machine.compile).
 CODEGEN_VERSION = 4
 
 

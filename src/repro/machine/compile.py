@@ -21,9 +21,9 @@ per-spec differences live in the program namespace bindings (``_rmal`` /
 on the ``Function`` (keyed by a digest of the module context):
 ``Module.clone`` shares untouched functions by identity, so campaign
 clones skip even source generation.  Two further levels close the loop
-with the delta *transform*: a spliced function carries a provenance
-stamp (``_dpmr_stamp``, set by ``IncrementalDpmrCompiler``) that
-content-addresses its generated code without any structural delta
+with the incremental *transform*: every function it emits carries a
+provenance stamp (``_dpmr_stamp``, set by ``IncrementalDpmrCompiler``)
+that content-addresses its generated code without any structural delta
 planning, and whole :class:`CompiledProgram` objects are reused when
 every member function resolved to the identical code object.
 
@@ -40,8 +40,6 @@ Fallback rules (the interpreter is always the reference engine):
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 import weakref
 from typing import Callable, Dict, Optional, Tuple
 
@@ -73,44 +71,16 @@ import struct as _struct
 _F32 = _struct.Struct("<f")
 
 
-#: process-wide runtime-inlining override; None = defer to the environment
-#: (``DPMR_INLINE_RT``), parsed once on first use.
-_INLINE_RT: Optional[bool] = None
-
-
-def inline_runtime_enabled() -> bool:
-    """Whether compiled programs may specialize against a DPMR runtime."""
-    global _INLINE_RT
-    if _INLINE_RT is None:
-        import os as _os
-
-        from ..eval.config import INLINE_RT_ENV_VAR, _parse_flag
-
-        _INLINE_RT = _parse_flag(_os.environ, INLINE_RT_ENV_VAR, True)
-    return _INLINE_RT
-
-
-def set_inline_runtime(enabled: Optional[bool]) -> Optional[bool]:
-    """Process-wide runtime-inlining override (the executor applies its
-    :class:`~repro.eval.config.ExecConfig` here so forked workers inherit
-    it).  ``None`` resets to the lazily-parsed environment default.
-    Returns the previous override so callers can restore it."""
-    global _INLINE_RT
-    prev = _INLINE_RT
-    _INLINE_RT = enabled
-    return prev
-
-
 def runtime_spec_for(dpmr_runtime) -> Optional[Tuple]:
     """The codegen specialization spec for a machine's runtime, or None.
 
-    None — the generic program — whenever there is no runtime, the
-    ``DPMR_INLINE_RT`` opt-out is active, or the runtime itself declines
+    None — the generic program, whose hooks go through ``call_intrinsic``
+    — whenever there is no runtime or the runtime itself declines
     (stateful diversity policy).  The spec participates in the program
     context digest, so specialized and generic programs never share cache
     entries at any level of the codegen hierarchy.
     """
-    if dpmr_runtime is None or not inline_runtime_enabled():
+    if dpmr_runtime is None:
         return None
     spec_of = getattr(dpmr_runtime, "codegen_spec", None)
     if spec_of is None:
@@ -130,23 +100,20 @@ def content_cache_key(name: str, content_hash: str) -> Tuple[str, str]:
 
 #: Codegen cache behaviour for the current process.  "hits" counts code
 #: objects served without compiling fresh source (on-Function memo, delta
-#: cache, persistent cache, or the content-addressed code cache after a
-#: delta reassembly); "misses" counts freshly compiled generations
-#: (including generations that concluded "unsupported").  The remaining
-#: keys break hits down: "delta_hits" were served from the in-process or
-#: persistent per-site delta cache, "persistent_hits" from the on-disk
-#: source cache specifically, and "delta_builds" counts delta
-#: *assemblies* (partial regenerations — cheaper than a full generation
-#: whichever way the resulting source then resolves).  "stamp_hits"
-#: counts hits served purely by a delta-transform provenance stamp (no
-#: structural planning at all), and "program_hits" counts whole
-#: CompiledProgram reuses (no per-function work whatsoever).
+#: cache, stamp cache, or the content-addressed code cache after a delta
+#: reassembly); "misses" counts freshly compiled generations (including
+#: generations that concluded "unsupported").  The remaining keys break
+#: hits down: "delta_hits" were served from the per-site delta cache, and
+#: "delta_builds" counts delta *assemblies* (partial regenerations —
+#: cheaper than a full generation whichever way the resulting source then
+#: resolves).  "stamp_hits" counts hits served purely by a transform
+#: provenance stamp (no structural planning at all), and "program_hits"
+#: counts whole CompiledProgram reuses (no per-function work whatsoever).
 CODEGEN_STATS: Dict[str, int] = {
     "hits": 0,
     "misses": 0,
     "delta_hits": 0,
     "delta_builds": 0,
-    "persistent_hits": 0,
     "stamp_hits": 0,
     "program_hits": 0,
 }
@@ -180,8 +147,8 @@ _DELTA_CACHE: Dict[str, object] = {}
 _DELTA_CACHE_MAX = 4096
 
 #: provenance-stamp cache: (ctx_key, fn name, stamp) → code object (or
-#: None for a function the generator rejected).  A stamp is set by the
-#: incremental compiler's delta pipeline and content-addresses the
+#: None for a function the generator rejected).  The incremental compiler
+#: stamps every function it emits; a stamp content-addresses the
 #: transformed function — (transform config, policy pre-state, source
 #: fingerprint) — so a stamped function's code resolves with two dict
 #: probes and no structural delta planning.  Because transformed text is
@@ -198,27 +165,6 @@ _STAMP_CACHE_MAX = 16384
 #: function objects), keeping the id()-based identity tokens stable.
 _PROGRAM_CACHE: Dict[Tuple, "CompiledProgram"] = {}
 _PROGRAM_CACHE_MAX = 2048
-
-#: directory of the persistent source cache (None = disabled).  Lives in
-#: the DPMR_STORE layout (``<store>/codegen/``); entries are generated
-#: *source*, never code objects, keyed by a digest that includes
-#: CODEGEN_VERSION so a generator change invalidates everything at once.
-_PERSIST_DIR: Optional[str] = None
-
-
-def set_persistent_code_cache(path: Optional[str]) -> Optional[str]:
-    """Point the persistent source cache at ``path`` (None disables).
-
-    Returns the previous path so callers can restore it."""
-    global _PERSIST_DIR
-    prev = _PERSIST_DIR
-    _PERSIST_DIR = path
-    return prev
-
-
-def persistent_code_cache_dir() -> Optional[str]:
-    return _PERSIST_DIR
-
 
 def reset_codegen_caches(code_cache: bool = False) -> None:
     """Drop delta bases, the delta/stamp caches, and program reuse (test
@@ -239,48 +185,6 @@ def reset_codegen_caches(code_cache: bool = False) -> None:
 def _delta_key(ctx_key: str, name: str, base_sha: str, delta_fp: str) -> str:
     payload = f"{CODEGEN_VERSION}\x00{ctx_key}\x00{name}\x00{base_sha}\x00{delta_fp}"
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _persist_path(key_hash: str) -> str:
-    return os.path.join(_PERSIST_DIR, key_hash[:2], key_hash + ".py")
-
-
-def _persist_read(key_hash: str) -> Optional[str]:
-    """Source for ``key_hash``, or None.  The first line carries a sha256
-    of the rest; a mismatch (torn write, external corruption) deletes the
-    entry and reports a miss — the source is then regenerated."""
-    path = _persist_path(key_hash)
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError:
-        return None
-    nl = text.find("\n")
-    head, src = text[: nl + 1], text[nl + 1 :]
-    if nl < 0 or not head.startswith("# sha256:") or (
-        head[9:].strip() != hashlib.sha256(src.encode()).hexdigest()
-    ):
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-        return None
-    return src
-
-
-def _persist_write(key_hash: str, src: str) -> None:
-    path = _persist_path(key_hash)
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".cg-", suffix=".tmp"
-        )
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(f"# sha256:{hashlib.sha256(src.encode()).hexdigest()}\n")
-            f.write(src)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # best-effort: a failed write just costs a future regeneration
 
 
 def _bto(m, costs) -> None:
@@ -480,9 +384,9 @@ def _delta_code_for(fn: Function, ctx, ctx_key: str, pyname: str, base):
     """Serve ``fn`` through the delta pipeline, or ``_DELTA_MISS``.
 
     Order of escalation, cheapest first: structural comparison against the
-    base (no string work for unchanged chains) → in-process delta cache →
-    persistent source cache → partial re-emission of only the changed
-    chains, spliced into the base frame."""
+    base (no string work for unchanged chains) → per-site delta cache →
+    partial re-emission of only the changed chains, spliced into the base
+    frame."""
     plan = plan_function_delta(fn, ctx, pyname, base)
     if plan is None:
         return _DELTA_MISS
@@ -492,38 +396,12 @@ def _delta_code_for(fn: Function, ctx, ctx_key: str, pyname: str, base):
         CODEGEN_STATS["hits"] += 1
         CODEGEN_STATS["delta_hits"] += 1
         return code
-    if _PERSIST_DIR is not None:
-        src = _persist_read(key_hash)
-        if src is not None:
-            key = content_cache_key(fn.name, hashlib.sha256(src.encode()).hexdigest())
-            code = _CODE_CACHE.get(key)
-            try:
-                if code is None:
-                    code = compile(src, f"<dpmr-codegen:{fn.name}>", "exec")
-                    _CODE_CACHE[key] = code
-            except SyntaxError:
-                try:
-                    os.unlink(_persist_path(key_hash))
-                except OSError:
-                    pass
-            else:
-                # Served from disk: a hit even when this process still had
-                # to byte-compile it (no source was generated).
-                CODEGEN_STATS["hits"] += 1
-                CODEGEN_STATS["delta_hits"] += 1
-                CODEGEN_STATS["persistent_hits"] += 1
-                if len(_DELTA_CACHE) >= _DELTA_CACHE_MAX:
-                    _DELTA_CACHE.clear()
-                _DELTA_CACHE[key_hash] = code
-                return code
     gen = complete_function_delta(plan, base)
     CODEGEN_STATS["delta_builds"] += 1
     code = _code_from_source(fn.name, gen.source, gen.src_sha)
     if len(_DELTA_CACHE) >= _DELTA_CACHE_MAX:
         _DELTA_CACHE.clear()
     _DELTA_CACHE[key_hash] = code
-    if _PERSIST_DIR is not None:
-        _persist_write(key_hash, gen.source)
     return code
 
 

@@ -327,14 +327,10 @@ class CampaignScheduler:
         (built on the first use of its content and transform
         configuration) at admission.
         """
-        from ..machine.compile import inline_runtime_enabled
-
         known = [v.name for v in job.variants]
         for variant in resolve_variants(names, design):
             if variant.name not in known:
-                base_transform(
-                    job.pristine, job.pristine_digest, variant, inline_runtime_enabled()
-                )
+                base_transform(job.pristine, job.pristine_digest, variant)
                 job.variants.append(variant)
                 known.append(variant.name)
         return [known.index(name) for name in names]

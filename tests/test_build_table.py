@@ -5,8 +5,8 @@ transform, finished faulty build — is keyed by exactly what determines it,
 so jobs that differ only in seeds, variant list or order, or fault kind,
 and variants that differ only in diversity, share what they have in
 common, and a repeated request builds nothing.  These tests pin the
-counts (deterministic, unlike wall time) and that sharing, eviction, the
-inline-runtime flag and concurrency never change a record.
+counts (deterministic, unlike wall time) and that sharing, eviction and
+concurrency never change a record.
 """
 
 from __future__ import annotations
@@ -210,19 +210,6 @@ def test_concurrent_misses_build_each_key_once():
     assert sorted(built) == sorted({("golden", f"d{k}", ()) for k in range(n_keys)})
     assert table.totals.golden_built == n_keys
     assert table.totals.golden_served == n_threads * rounds - n_keys
-
-
-def test_inline_runtime_flag_keys_separate_entries():
-    on = run(REQUEST, config=ExecConfig(inline_rt=True))
-    off = run(REQUEST, config=ExecConfig(inline_rt=False))
-    assert off.manifest.base_built == 2 * N_DPMR
-    assert off.manifest.site_built == N_BUILDS
-    assert sigs(on) == sigs(off)
-    # Both flags' entries coexist: neither run replaced the other's.
-    for inline_rt in (True, False):
-        again = run(REQUEST, config=ExecConfig(inline_rt=inline_rt))
-        assert (again.manifest.base_built, again.manifest.site_built) == (0, 0)
-        assert sigs(again) == sigs(on)
 
 
 def test_overlapping_requests_on_two_threads_match_serial():

@@ -193,9 +193,95 @@ def test_codegen_cache_hits_grow_on_recompilation():
     assert after["hits"] > mid["hits"]
     assert after["misses"] == mid["misses"]
     assert set(CODEGEN_STATS) == {
-        "hits", "misses", "delta_hits", "delta_builds", "persistent_hits",
-        "stamp_hits", "program_hits",
+        "hits", "misses", "delta_hits", "delta_builds", "stamp_hits",
+        "program_hits",
     }
+
+
+#: Fresh code compiles of the campaign below from cold codegen caches.
+#: The codegen work of a campaign is a pure function of the transformed
+#: text, so this count moves only when generated code or its sharing does.
+RESIZE_CAMPAIGN_COMPILES = 13
+
+
+def test_runtime_specialization_binding_and_code_sharing(monkeypatch):
+    """What makes the compiled tier's DPMR hooks cheap, pinned by counts.
+
+    A stateless diversity binds a program specialized to its runtime spec
+    (``_rmal``/``_rfree`` in the namespace); a stateful diversity and a run
+    without DPMR bind the generic program, whose hooks go through
+    ``call_intrinsic``.  Diversity never reaches the transform and
+    generated source is parametric over the spec, so the seven diversity
+    variants of a site run the same code objects.
+    """
+    from repro.core.diversity import SegregatedReplicas
+    from repro.eval.variants import CompiledVariant, stdapp_variant
+    from repro.faultinject import HEAP_ARRAY_RESIZE
+    from repro.machine import compile as C
+
+    bound = []  # (variant name, module, program) per compiled run
+    running = []
+    program_for = C.compiled_program_for
+    variant_run = CompiledVariant.run
+
+    def recording_program_for(module, rt_spec=None):
+        program = program_for(module, rt_spec)
+        if running:
+            bound.append((running[-1], module, program))
+        return program
+
+    def named_run(self, *args, **kwargs):
+        running.append(self.name)
+        try:
+            return variant_run(self, *args, **kwargs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(C, "compiled_program_for", recording_program_for)
+    monkeypatch.setattr(CompiledVariant, "run", named_run)
+    diversity = diversity_variants("sds")
+    segregated = Variant(
+        name="segregated", design="sds", diversity=SegregatedReplicas()
+    )
+    C.reset_codegen_caches(code_cache=True)
+    before = codegen_stats()
+    result = run(
+        WorkloadHarness("mcf", app_factory("mcf", 1)),
+        [stdapp_variant()] + diversity + [segregated],
+        kind=HEAP_ARRAY_RESIZE,
+        config=ExecConfig(jobs=1),
+        max_sites=2,
+    )
+    compiles = codegen_stats()["misses"] - before["misses"]
+    assert result.manifest.engine == "compiled"
+    assert len(bound) == len(result.records) == 2 * 9
+
+    stateless = {v.name for v in diversity}
+    generic = {"stdapp", "segregated"}
+    assert {name for name, _, _ in bound} == stateless | generic
+    for name, _, program in bound:
+        if name in stateless:
+            assert program.rt_spec is not None, name
+            assert "_rmal" in program._ns and "_rfree" in program._ns, name
+        else:
+            assert program.rt_spec is None, name
+            assert "_rmal" not in program._ns, name
+
+    per_site = {}
+    for name, module, program in bound:
+        if name in stateless:
+            per_site.setdefault(id(module), []).append(program)
+    assert len(per_site) == 2
+    for programs in per_site.values():
+        assert len(programs) == len(stateless)
+        first = programs[0].functions
+        assert first
+        for program in programs[1:]:
+            assert program.functions.keys() == first.keys()
+            for fname, fn in program.functions.items():
+                assert fn.__code__ is first[fname].__code__, fname
+
+    assert compiles == RESIZE_CAMPAIGN_COMPILES
 
 
 # -- eval-layer surface --------------------------------------------------

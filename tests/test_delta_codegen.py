@@ -1,17 +1,13 @@
-"""Delta codegen, the persistent code cache, and the campaign hot path.
+"""Delta codegen and the campaign hot path.
 
 PR 7 made the compiled tier the default campaign engine.  The machinery
-that makes that profitable has three layers, each pinned here:
+that makes that profitable has two layers, each pinned here:
 
 * **delta codegen** (machine/codegen.py) — per-site code regenerates only
   the leader chains the fault transform touched; untouched chains' chunk
   objects (including their ``lines`` tuples) must be reused *by identity*,
   and the spliced source must equal a from-scratch generation byte for
   byte;
-* **persistent code cache** (machine/compile.py) — generated source
-  round-trips through the ``DPMR_STORE`` layout (``<store>/codegen/``)
-  with a sha256 integrity header; corruption is detected, deleted, and
-  regenerated, never executed;
 * **campaign hot path** — compiled-by-default interplay with the result
   store (``compiled`` is excluded from the exec fingerprint, so a cold
   interpreter run resumes warm under the compiled default bit-identically),
@@ -19,23 +15,19 @@ that makes that profitable has three layers, each pinned here:
   that eliminated the dominant fixed cost of an experiment.
 """
 
-import os
-
 import pytest
 
 from repro.apps import app_factory
 from repro.eval.api import run
-from repro.eval.builds import reset_build_table
 from repro.eval.config import ExecConfig
 from repro.eval.experiment import WorkloadHarness
-from repro.eval.variants import Variant, diversity_variants
+from repro.eval.variants import Variant
 from repro.faultinject.injector import (
     HEAP_ARRAY_RESIZE,
     IMMEDIATE_FREE,
     enumerate_sites,
     inject,
 )
-from repro.machine import compile as C
 from repro.machine import memory as M
 from repro.machine.codegen import (
     ProgramContext,
@@ -130,92 +122,6 @@ def test_delta_plan_refuses_reshaped_function():
         plan_function_delta(module.functions[b], ctx, ctx.fn_info[a][0], ga)
         is None
     )
-
-
-# -- persistent code cache -----------------------------------------------
-
-
-def test_persistent_cache_roundtrip_and_corruption(tmp_path):
-    prev = C.set_persistent_code_cache(str(tmp_path))
-    try:
-        key = "ab" * 32
-        src = "def f():\n    return 41 + 1\n"
-        C._persist_write(key, src)
-        path = C._persist_path(key)
-        assert os.path.exists(path)
-        with open(path, encoding="utf-8") as fh:
-            assert fh.readline().startswith("# sha256:")
-        assert C._persist_read(key) == src
-        # Tampering breaks the integrity header: the entry is deleted and
-        # reported as a miss, never returned.
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("# tampered\n")
-        assert C._persist_read(key) is None
-        assert not os.path.exists(path)
-        # A deleted entry is simply a miss (regeneration handles it).
-        assert C._persist_read(key) is None
-    finally:
-        C.set_persistent_code_cache(prev)
-
-
-def test_persistent_cache_disabled_by_default():
-    # Outside a store-backed campaign no directory is configured, so
-    # nothing is ever written to disk behind the caller's back.
-    prev = C.set_persistent_code_cache(None)
-    try:
-        assert C.persistent_code_cache_dir() is None
-    finally:
-        C.set_persistent_code_cache(prev)
-
-
-def test_campaign_store_populates_and_serves_code_cache(tmp_path):
-    """A store-backed compiled campaign persists generated source under
-    ``<store>/codegen/``; with the in-process caches dropped (a "new
-    process"), recomputing the same campaign serves per-site code from
-    disk (``persistent_hits``) and stays signature-identical."""
-    store = tmp_path / "s"
-
-    def campaign():
-        harness = WorkloadHarness("mcf", app_factory("mcf", 1))
-        return run(
-            harness,
-            diversity_variants("sds")[:2],
-            kind=HEAP_ARRAY_RESIZE,
-            config=ExecConfig(jobs=1, store_path=str(store)),
-            max_sites=2,
-        )
-
-    # Other tests run identical campaigns; a warm in-process delta cache
-    # would satisfy every per-site compile without ever touching disk.
-    C.reset_codegen_caches()
-    cold = campaign()
-    assert len(cold.records) > 0
-    codegen_dir = store / "codegen"
-    entries = sorted(codegen_dir.rglob("*.py"))
-    assert entries, "compiled campaign wrote no persistent code entries"
-    for path in entries:
-        text = path.read_text(encoding="utf-8")
-        assert text.startswith("# sha256:")
-    # The executor restores the previous persist dir on exit.
-    assert C.persistent_code_cache_dir() is None
-    # Simulate a fresh process: drop delta bases, delta cache, the
-    # content-addressed code cache and the build table, and invalidate
-    # stored *results* so the runs actually re-execute (the result store
-    # would otherwise satisfy everything without compiling at all).
-    C.reset_codegen_caches()
-    C._CODE_CACHE.clear()
-    reset_build_table()
-    for sub in store.iterdir():
-        if sub.is_dir() and sub.name != "codegen":
-            for entry in sub.iterdir():
-                entry.unlink()
-    before = C.codegen_stats()
-    warm = campaign()
-    after = C.codegen_stats()
-    assert after["persistent_hits"] > before["persistent_hits"]
-    assert [r.signature() for r in warm.records] == [
-        r.signature() for r in cold.records
-    ]
 
 
 def test_store_resume_cold_interp_warm_compiled_default(tmp_path):

@@ -22,7 +22,13 @@ import random
 
 import pytest
 
-from repro.core.diversity import PadMalloc, RearrangeHeap, ZeroBeforeFree
+from repro.core.diversity import (
+    PadMalloc,
+    RearrangeHeap,
+    SegregatedReplicas,
+    ZeroBeforeFree,
+)
+from repro.core.runtime import diversity_codegen_spec
 from repro.eval.variants import Variant
 from repro.faultinject.injector import FAULT_KINDS, enumerate_sites, inject
 from repro.ir import (
@@ -197,19 +203,22 @@ N_FAULTY_SEEDS = 100
 
 def test_faulty_programs_bit_identical_across_engines():
     """Differential fuzzing with faults in: for both fault kinds and every
-    random program, the interpreter, the compiled tier, and the compiled
-    tier with inlined DPMR runtime must agree on the full run signature —
-    detections, crashes, activations, cycle counts and all.  The variant
-    set covers every inline specialization shape: plain malloc/free,
-    padded malloc, method free (zero-before-free) and method malloc
-    (rearrange-heap, MDS)."""
-    from repro.machine.compile import set_inline_runtime
-
+    random program, the interpreter and the compiled tier must agree on
+    the full run signature — detections, crashes, activations, cycle
+    counts and all.  The variant set covers every inline specialization
+    shape: plain malloc/free, padded malloc, method free
+    (zero-before-free) and method malloc (rearrange-heap, MDS); and the
+    stateful segregated-replicas diversity, which has no specialization,
+    covers the generic ``call_intrinsic`` hooks."""
+    assert diversity_codegen_spec(SegregatedReplicas()) is None
     variants = [
         sds_variant,
         mds_variant,
         lambda: Variant(name="sds-pad", design="sds", diversity=PadMalloc(32)),
         lambda: Variant(name="sds-zbf", design="sds", diversity=ZeroBeforeFree()),
+        lambda: Variant(
+            name="sds-segregated", design="sds", diversity=SegregatedReplicas()
+        ),
     ]
     budget = 250_000
     divergences = []
@@ -225,22 +234,11 @@ def test_faulty_programs_bit_identical_across_engines():
                     variant = make_variant()
                     build = variant.compile(faulty)
                     interp = build.run(max_cycles=budget)
-                    prev = set_inline_runtime(False)
-                    try:
-                        plain = build.run(max_cycles=budget, compiled=True)
-                        set_inline_runtime(True)
-                        inlined = build.run(max_cycles=budget, compiled=True)
-                    finally:
-                        set_inline_runtime(prev)
+                    compiled = build.run(max_cycles=budget, compiled=True)
                     checked += 1
-                    want = _run_signature(interp)
-                    if want != _run_signature(plain):
+                    if _run_signature(interp) != _run_signature(compiled):
                         divergences.append(
-                            (seed, kind, variant.name, "compiled", interp, plain)
-                        )
-                    if want != _run_signature(inlined):
-                        divergences.append(
-                            (seed, kind, variant.name, "inlined", interp, inlined)
+                            (seed, kind, variant.name, interp, compiled)
                         )
     assert checked >= N_FAULTY_SEEDS
     assert not divergences, (

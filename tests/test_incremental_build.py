@@ -13,8 +13,10 @@ import pytest
 
 from repro.apps import app_factory
 from repro.core import DpmrCompiler, IncrementalDpmrCompiler, static_50, temporal_1_2
+from repro.core.policies import AllLoadsPolicy
 from repro.eval import (
     ExecConfig,
+    Variant,
     WorkloadHarness,
     coverage_components,
     diversity_variants,
@@ -24,15 +26,32 @@ from repro.eval import (
 )
 from repro.faultinject import HEAP_ARRAY_RESIZE, IMMEDIATE_FREE
 from repro.faultinject.campaign import Campaign
-from repro.faultinject.injector import inject
+from repro.faultinject.injector import FAULT_KINDS, enumerate_sites, inject
 from repro.ir.printer import format_module
 
+from .test_fuzz_differential import build_random_module
 from .test_parallel_determinism import record_signature
 
 
 @pytest.fixture(scope="module")
 def harness():
     return WorkloadHarness("mcf", app_factory("mcf", 1), seeds=(0, 1))
+
+
+class _OpaqueStatefulPolicy(AllLoadsPolicy):
+    """A policy with per-site compile state that the incremental compiler
+    can only snapshot and restore, never interpret."""
+
+    name = "opaque-stateful"
+
+    def __init__(self):
+        self._state = 0
+
+    def compile_state(self):
+        return self._state
+
+    def restore_compile_state(self, state) -> None:
+        self._state = state
 
 
 class TestRecordIdentity:
@@ -74,17 +93,41 @@ class TestRecordIdentity:
 
     @pytest.mark.parametrize("design", ["sds", "mds"])
     def test_transformed_module_text_identical(self, design):
+        # Diversity, comparison-policy (static-N draws per load site) and
+        # opaque compile-state variants, on equake and on a random program
+        # under both fault kinds: every incremental build prints exactly
+        # as a full rebuild of the same faulty program.
+        variants = (
+            diversity_variants(design)[:3]
+            + policy_variants(design)
+            + [Variant(name="opaque", design=design, policy=_OpaqueStatefulPolicy())]
+        )
         camp = Campaign(app_factory("equake", 1), IMMEDIATE_FREE)
-        for variant in diversity_variants(design)[:3]:
-            incremental = variant.incremental_compiler(camp.pristine)
-            for site in camp.sites:
-                full = variant.compile(inject(app_factory("equake", 1)(), site, 50))
-                fast = variant.compile_incremental(
-                    incremental, camp.faulty_module(site)
-                )
-                assert format_module(full._build.module) == format_module(
-                    fast._build.module
-                )
+        equake = [
+            (camp.faulty_module(site), inject(app_factory("equake", 1)(), site, 50))
+            for site in camp.sites
+        ]
+        random_program = build_random_module(7)
+        random_sites = [
+            site
+            for kind in FAULT_KINDS
+            for site in enumerate_sites(random_program, kind)[:2]
+        ]
+        assert {site.kind for site in random_sites} == set(FAULT_KINDS)
+        random_faulty = [
+            inject(random_program.clone(mutable_functions=(site.function,)), site)
+            for site in random_sites
+        ]
+        cases = [(camp.pristine, equake), (random_program, [(f, f) for f in random_faulty])]
+        for pristine, builds in cases:
+            for variant in variants:
+                incremental = variant.incremental_compiler(pristine)
+                for faulty, rebuilt in builds:
+                    fast = variant.compile_incremental(incremental, faulty)
+                    full = variant.compile(rebuilt)
+                    assert format_module(full._build.module) == format_module(
+                        fast._build.module
+                    ), f"{variant.name}: incremental build diverges from full rebuild"
 
 
 class TestCacheAccounting:

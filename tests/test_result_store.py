@@ -14,6 +14,8 @@ import os
 import pytest
 
 from repro.apps import app_factory
+from repro.core.diversity import RearrangeHeap
+from repro.core.policies import static_50
 from repro.eval import (
     ExecConfig,
     ResultStore,
@@ -31,7 +33,7 @@ from repro.eval.store import (
     record_to_dict,
 )
 from repro.eval.variants import Variant
-from repro.faultinject import HEAP_ARRAY_RESIZE, IMMEDIATE_FREE
+from repro.faultinject import FAULT_KINDS, HEAP_ARRAY_RESIZE, IMMEDIATE_FREE
 from repro.faultinject.campaign import Campaign
 
 
@@ -202,6 +204,41 @@ class TestKeyInvalidation:
         sds = Variant(name="x", design="sds")
         mds = Variant(name="x", design="mds")
         assert variant_fingerprint(sds) != variant_fingerprint(mds)
+        # Same display name ("static-50%"), different site selection.
+        seed1 = Variant(name="x", design="sds", policy=static_50(seed=1))
+        seed2 = Variant(name="x", design="sds", policy=static_50(seed=2))
+        assert variant_fingerprint(seed1) != variant_fingerprint(seed2)
+
+    def test_same_named_policies_with_different_seeds_get_their_own_entries(
+        self, tmp_path
+    ):
+        # A static-50% campaign under policy seed 2 after one under seed 1,
+        # through one store: seed 2's records must be its own, not seed 1's.
+        harness = WorkloadHarness("equake", app_factory("equake", 1))
+        config = ExecConfig(jobs=1, store_path=str(tmp_path / "s"))
+
+        def static_50_variant(seed):
+            return [
+                Variant(
+                    name="static-50%",
+                    design="sds",
+                    diversity=RearrangeHeap(),
+                    policy=static_50(seed=seed),
+                )
+            ]
+
+        for kind in FAULT_KINDS:
+            run(harness, static_50_variant(1), kind=kind, config=config)
+        for kind in FAULT_KINDS:
+            stored = run(harness, static_50_variant(2), kind=kind, config=config)
+            fresh = run(
+                harness, static_50_variant(2), kind=kind, config=ExecConfig(jobs=1)
+            )
+            assert stored.manifest.store_hits == 0
+            assert len(stored.records) > 0
+            assert [r.signature() for r in stored.records] == [
+                r.signature() for r in fresh.records
+            ]
 
     def test_key_discriminates_site_seed_and_kind(self):
         vfp = variant_fingerprint(stdapp_variant())
