@@ -1,134 +1,90 @@
-"""Instruction-granular delta transforms: byte-identity + refusal fallback.
+"""Per-site transforms on a random program: byte identity + memo reuse.
 
-The incremental compiler's delta path replays the base build's translation
-journal outside the fault diff and re-translates only the diff.  These
-tests pin its contract:
+A per-site build re-translates each function the fault changed, whole
+(``IncrementalDpmrCompiler._retransform``), and splices it into the shared
+base transform.  These tests pin that path on the fuzzer's random program
+7 under both fault kinds:
 
-* the transformed-module *text* of a delta build equals a full
-  ``DpmrCompiler.compile`` rebuild, across all seven diversity variants and
-  all seven comparison-policy variants, for both fault kinds;
-* every such build is actually served by the delta path (no silent
-  fallbacks) and replays a meaningful share of instructions;
-* a policy with opaque compile-time state (no ``advance_compile_state``
-  override) is refused: the build falls back to whole-function
-  re-translation and stays byte-identical;
-* ``DPMR_INLINE_RT=0`` (via ``set_inline_runtime``) restores the PR 7
-  whole-function behaviour wholesale.
+* the transformed-module *text* of every per-site build equals a full
+  ``DpmrCompiler.compile`` rebuild, across all seven diversity variants,
+  all seven comparison-policy variants and the MDS design;
+* a policy with opaque per-site compile state (restored, never
+  interpreted) gets the same whole-function path and stays byte-identical;
+* compiling the same faulty program again is a memo hit that re-translates
+  nothing.
+
+``tests/test_incremental_build.py`` pins the same identity on equake.
 """
 
-from tests.test_fuzz_differential import build_random_module
-
-from repro.core.policies import AllLoadsPolicy
 from repro.eval.variants import Variant, diversity_variants, policy_variants
 from repro.faultinject.injector import FAULT_KINDS, enumerate_sites, inject
 from repro.ir.printer import format_module
-from repro.machine.compile import set_inline_runtime
+
+from .test_fuzz_differential import build_random_module
+from .test_incremental_build import _OpaqueStatefulPolicy
 
 PRISTINE = build_random_module(7)
 
 
 def _faulty_builds(pristine, kind, max_sites=2):
-    for site in enumerate_sites(pristine, kind)[:max_sites]:
-        yield inject(
-            pristine.clone(mutable_functions=(site.function,)), site
-        )
+    sites = enumerate_sites(pristine, kind)[:max_sites]
+    assert sites, f"random program has no {kind} site"
+    for site in sites:
+        yield inject(pristine.clone(mutable_functions=(site.function,)), site)
 
 
-def _assert_identical(variant, pristine, expect_delta):
+def _assert_identical(variant, pristine=PRISTINE):
     inc = variant.incremental_compiler(pristine)
-    checks = 0
     for kind in FAULT_KINDS:
         for faulty in _faulty_builds(pristine, kind):
-            delta_text = format_module(inc.compile(faulty).module)
+            site_text = format_module(inc.compile(faulty).module)
             full_text = format_module(variant.compiler().compile(faulty).module)
-            assert delta_text == full_text, (
-                f"{variant.name}/{kind}: delta build text diverges from "
+            assert site_text == full_text, (
+                f"{variant.name}/{kind}: per-site build text diverges from "
                 "full rebuild"
             )
-            checks += 1
-    assert checks > 0
     stats = inc.stats
-    if expect_delta:
-        assert stats.delta_splices == stats.misses > 0
-        assert stats.delta_refusals == 0
-        assert stats.replayed_instructions > 0
-        assert 0.0 < stats.delta_replay_rate <= 1.0
-    else:
-        assert stats.delta_splices == 0
-        assert stats.delta_refusals == stats.misses > 0
-        assert stats.replayed_instructions == 0
+    # Every changed function was re-translated whole; the counters of the
+    # retired journal-replay path stay 0.
+    assert stats.misses > 0 and stats.translated_instructions > 0
+    assert stats.full_rebuilds == 0
+    assert stats.delta_splices == stats.delta_refusals == 0
+    assert stats.replayed_instructions == 0
     return stats
 
 
 class TestByteIdentity:
     def test_all_diversity_variants(self):
         for variant in diversity_variants("sds"):
-            _assert_identical(variant, PRISTINE, expect_delta=True)
+            _assert_identical(variant)
 
     def test_all_policy_variants(self):
         for variant in policy_variants("sds"):
-            _assert_identical(variant, PRISTINE, expect_delta=True)
+            _assert_identical(variant)
 
     def test_mds_design(self):
-        for variant in diversity_variants("mds")[:3]:
-            _assert_identical(variant, PRISTINE, expect_delta=True)
-
-    def test_replay_dominates_on_resize_faults(self):
-        # Resize faults touch one malloc's mirror group; with the rest of
-        # the function replayed, the per-site translator work must be a
-        # minority of the instructions.
-        variant = diversity_variants("sds")[0]
-        inc = variant.incremental_compiler(PRISTINE)
-        for site in enumerate_sites(PRISTINE, "heap-array-resize"):
-            faulty = inject(
-                PRISTINE.clone(mutable_functions=(site.function,)), site
-            )
-            inc.compile(faulty)
-        assert inc.stats.delta_splices == inc.stats.misses > 0
-        assert inc.stats.delta_replay_rate >= 0.5
-
-
-class _OpaqueStatefulPolicy(AllLoadsPolicy):
-    """Per-site compile state without an ``advance_compile_state``
-    override — the delta path cannot fast-forward it and must refuse."""
-
-    name = "opaque-stateful"
-
-    def __init__(self):
-        self._state = 0
-
-    def compile_state(self):
-        return self._state
-
-    def restore_compile_state(self, state) -> None:
-        self._state = state
+        opaque = Variant(name="opaque", design="mds", policy=_OpaqueStatefulPolicy())
+        variants = diversity_variants("mds")[:3] + policy_variants("mds") + [opaque]
+        for variant in variants:
+            _assert_identical(variant)
 
 
 class TestFallbacks:
     def test_opaque_stateful_policy_refuses_to_delta(self):
-        variant = Variant(
-            name="opaque", design="sds", policy=_OpaqueStatefulPolicy()
-        )
-        _assert_identical(variant, PRISTINE, expect_delta=False)
-
-    def test_inline_rt_off_restores_whole_function_path(self):
-        variant = diversity_variants("sds")[0]
-        prev = set_inline_runtime(False)
-        try:
-            stats = _assert_identical(variant, PRISTINE, expect_delta=False)
-        finally:
-            set_inline_runtime(prev)
-        assert stats.hit_rate >= 0.0  # stats object stays well-formed
+        variant = Variant(name="opaque", design="sds", policy=_OpaqueStatefulPolicy())
+        _assert_identical(variant)
 
     def test_memo_skips_delta_on_repeat_compiles(self):
         variant = diversity_variants("sds")[0]
         inc = variant.incremental_compiler(PRISTINE)
         site = enumerate_sites(PRISTINE, "heap-array-resize")[0]
-        faulty = inject(
-            PRISTINE.clone(mutable_functions=(site.function,)), site
-        )
+        faulty = inject(PRISTINE.clone(mutable_functions=(site.function,)), site)
         first = format_module(inc.compile(faulty).module)
-        splices = inc.stats.delta_splices
-        again = format_module(inc.compile(faulty).module)
-        assert first == again
-        assert inc.stats.delta_splices == splices  # memo hit, no new delta
+        misses, translated = inc.stats.misses, inc.stats.translated_instructions
+        assert misses > 0 and translated > 0
+        again = inc.compile(faulty)
+        assert format_module(again.module) == first
+        # Memo hit: nothing is re-translated the second time.
+        assert again.cache_misses == 0
+        assert inc.stats.misses == misses
+        assert inc.stats.translated_instructions == translated

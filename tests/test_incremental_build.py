@@ -26,10 +26,9 @@ from repro.eval import (
 )
 from repro.faultinject import HEAP_ARRAY_RESIZE, IMMEDIATE_FREE
 from repro.faultinject.campaign import Campaign
-from repro.faultinject.injector import FAULT_KINDS, enumerate_sites, inject
+from repro.faultinject.injector import inject
 from repro.ir.printer import format_module
 
-from .test_fuzz_differential import build_random_module
 from .test_parallel_determinism import record_signature
 
 
@@ -94,40 +93,26 @@ class TestRecordIdentity:
     @pytest.mark.parametrize("design", ["sds", "mds"])
     def test_transformed_module_text_identical(self, design):
         # Diversity, comparison-policy (static-N draws per load site) and
-        # opaque compile-state variants, on equake and on a random program
-        # under both fault kinds: every incremental build prints exactly
-        # as a full rebuild of the same faulty program.
+        # opaque compile-state variants: every incremental build of an
+        # equake fault prints exactly as a full rebuild of the same faulty
+        # program.  tests/test_delta_transforms.py pins the same on a
+        # random program under both fault kinds.
         variants = (
             diversity_variants(design)[:3]
             + policy_variants(design)
             + [Variant(name="opaque", design=design, policy=_OpaqueStatefulPolicy())]
         )
         camp = Campaign(app_factory("equake", 1), IMMEDIATE_FREE)
-        equake = [
-            (camp.faulty_module(site), inject(app_factory("equake", 1)(), site, 50))
-            for site in camp.sites
-        ]
-        random_program = build_random_module(7)
-        random_sites = [
-            site
-            for kind in FAULT_KINDS
-            for site in enumerate_sites(random_program, kind)[:2]
-        ]
-        assert {site.kind for site in random_sites} == set(FAULT_KINDS)
-        random_faulty = [
-            inject(random_program.clone(mutable_functions=(site.function,)), site)
-            for site in random_sites
-        ]
-        cases = [(camp.pristine, equake), (random_program, [(f, f) for f in random_faulty])]
-        for pristine, builds in cases:
-            for variant in variants:
-                incremental = variant.incremental_compiler(pristine)
-                for faulty, rebuilt in builds:
-                    fast = variant.compile_incremental(incremental, faulty)
-                    full = variant.compile(rebuilt)
-                    assert format_module(full._build.module) == format_module(
-                        fast._build.module
-                    ), f"{variant.name}: incremental build diverges from full rebuild"
+        for variant in variants:
+            incremental = variant.incremental_compiler(camp.pristine)
+            for site in camp.sites:
+                full = variant.compile(inject(app_factory("equake", 1)(), site, 50))
+                fast = variant.compile_incremental(
+                    incremental, camp.faulty_module(site)
+                )
+                assert format_module(full._build.module) == format_module(
+                    fast._build.module
+                ), f"{variant.name}: incremental build diverges from full rebuild"
 
 
 class TestCacheAccounting:
