@@ -693,6 +693,12 @@ def main() -> None:
             f"{campaign_compiled['speedup_vs_interp']}x vs the interpreter "
             f"(target ≥{CAMPAIGN_COMPILED_MIN_SPEEDUP}x)"
         )
+    if obs["null_tracer_overhead_pct"] > TRACE_OVERHEAD_TOLERANCE * 100:
+        sys.exit(
+            "FATAL: disabled-tracer path exceeds the "
+            f"{TRACE_OVERHEAD_TOLERANCE:.0%} overhead budget "
+            f"({obs['null_tracer_overhead_pct']:+.2f}%)"
+        )
 
 
 if __name__ == "__main__":
