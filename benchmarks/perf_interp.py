@@ -22,8 +22,8 @@ The ``campaign_compiled`` section times the same campaign under the
 *default* engine (the compiled tier, since PR 7) against an explicit
 ``compiled=False`` interpreter run — serial, best-of-N, full
 record-signature identity — and records the codegen cache traffic of a
-cold first run and a warm re-run (delta codegen makes per-site compiles
-cheap; the caches make re-runs nearly free).
+cold first run and a warm re-run (a cold run compiles each function it
+runs once; the content-addressed caches make re-runs nearly free).
 
 Writes ``BENCH_interp.json`` at the repo root so future PRs have a perf
 trajectory to regress against.  The ``seed_baseline`` block is frozen: it
@@ -42,12 +42,12 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_interp.py [jobs]
     PYTHONPATH=src python benchmarks/perf_interp.py --smoke
 
-``jobs`` defaults to ``DPMR_JOBS`` or 4.  ``--smoke`` is the CI
-trace-overhead gate: it asserts structurally that machines without
-observability bind the uninstrumented fast-path executor, A/B-measures the
-disabled-tracer path against a bare machine (must be within 5% — they run
-the identical loop, so this catches anyone re-introducing per-instruction
-checks), replays a small traced campaign to verify T2D is recomputable
+``jobs`` defaults to ``DPMR_JOBS`` or 4.  ``--smoke`` is a CI step: it
+asserts structurally that machines without observability (or with a
+``NullTracer``) bind the uninstrumented fast-path executor, prints an A/B
+of the disabled-tracer path against a bare machine without gating it (they
+run the identical loop, so the gap is noise; a full run gates it at 5%),
+replays a small traced campaign to verify T2D is recomputable
 from the JSONL trace bit-identically, and gates the compiled execution
 tier: structural engine selection, campaign record identity against the
 interpreter, and ≥2x throughput on the smoke workload.  Absolute
@@ -303,20 +303,17 @@ def smoke() -> None:
     assert m_obs._exec.__func__ is Machine._exec_function_instrumented
     print("smoke: structural fast-path checks OK")
 
-    # 2. A/B throughput: bare vs NullTracer run the identical loop, so the
-    #    gap is pure noise — gate it at TRACE_OVERHEAD_TOLERANCE.
+    # 2. A/B throughput, reported only: bare vs NullTracer run the
+    #    identical loop, so the gap is pure noise, which a shared CI host
+    #    cannot hold to TRACE_OVERHEAD_TOLERANCE.  Step 1's asserts and
+    #    tests/test_obs_trace.py::TestFastPath pin the same loop
+    #    deterministically; a full run still gates the overhead.
     obs = bench_obs()
-    overhead = obs["null_tracer_overhead_pct"] / 100.0
     print(
         f"smoke: bare {obs['bare_ips']:,} ips, "
         f"null-tracer {obs['null_tracer_ips']:,} ips "
-        f"({obs['null_tracer_overhead_pct']:+.2f}%)"
+        f"({obs['null_tracer_overhead_pct']:+.2f}%, not gated)"
     )
-    if overhead > TRACE_OVERHEAD_TOLERANCE:
-        sys.exit(
-            f"FATAL: disabled-tracer path is {overhead:.1%} slower than the "
-            f"bare machine (tolerance {TRACE_OVERHEAD_TOLERANCE:.0%})"
-        )
 
     # 3. End-to-end: a small traced campaign whose T2D must be recomputable
     #    from the JSONL trace alone, bit-identically.
@@ -534,13 +531,13 @@ def bench_campaign_compiled() -> dict:
 
     Times the same resize campaign as ``bench_campaign`` under the default
     (compiled) engine and under ``compiled=False``, serial, best-of-N, and
-    checks full record-signature identity.  The cold manifest shows delta
-    codegen keeping per-site compiles cheap on a first run (the 7 diversity
-    variants share transformed function text, so one delta build serves all
-    of them); the warm manifest re-runs the campaign on *fresh* module
-    objects — the process-wide content/delta caches must then serve nearly
-    everything, which is the hit-dominated steady state a resumed campaign
-    sees.
+    checks full record-signature identity.  The cold manifest shows a
+    first run compiling each function it runs once (the 7 diversity
+    variants share transformed function text, so one compile serves all of
+    them); the warm manifest re-runs the campaign on *fresh* module
+    objects — the process-wide stamp and content caches must then serve
+    nearly everything, which is the hit-dominated steady state a resumed
+    campaign sees.
     """
     from repro.eval.builds import reset_build_table
 
@@ -559,8 +556,8 @@ def bench_campaign_compiled() -> dict:
     interp_jobs = _fresh_campaign_jobs(variants)
     interp_s, interp_records = _timed_campaign(interp_jobs, 1, True)
 
-    # Fresh module objects: every L1 memo misses, so this manifest shows the
-    # content-addressed + delta caches carrying a warm re-run.
+    # Fresh module objects: every on-Function memo misses, so this manifest
+    # shows the stamp and content-addressed caches carrying a warm re-run.
     reset_build_table()
     warm_jobs = _fresh_campaign_jobs(variants)
     _, warm_manifest = run_campaign_jobs_with_manifest(

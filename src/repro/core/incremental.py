@@ -23,7 +23,8 @@ a content-addressed, function-granular transform cache:
    (transform config, policy pre-state, source content) that
    deterministically pins its text — which the compiled tier's code cache
    keys on directly (see ``repro.machine.compile._STAMP_CACHE``), so
-   repeat codegen for the same site skips structural delta planning;
+   a site rebuilt as new objects — after the build table dropped its
+   build — finds its compiled code without generating source;
 3. re-transformed functions are memoized under
    ``(function name, content hash)`` — the transform configuration is fixed
    per compiler instance — so repeated compiles of the same faulty function
@@ -181,8 +182,8 @@ class IncrementalDpmrCompiler:
         # Provenance stamps: the transformed text of any source function is
         # a pure function of (transform config, policy pre-state, source
         # content), so a digest of those three content-addresses the output
-        # — the compiled tier keys generated code on it directly, skipping
-        # structural delta planning.
+        # — the compiled tier keys generated code on it directly, so a
+        # rebuilt function finds its code without generating source.
         self._stamp_cfg = transform_digest(compiler.design, compiler.policy)
         self._state_fp: Dict[str, str] = {}
         for fn in pristine.defined_functions():

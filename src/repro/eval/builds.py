@@ -80,7 +80,7 @@ from ..ir.verifier import verify_module
 #: workloads hold about 140 entries (the service stream: 56 base
 #: transforms and 64 faulty builds), so neither evicts.  On the shipped
 #: apps at scale 1, a base transform takes about 0.2 MB (at most 0.35 MB)
-#: and a faulty build about 0.3 MB (at most 0.8 MB) with its compiled
+#: and a faulty build about 0.3 MB (at most 0.7 MB) with its compiled
 #: code, so a full table stays under about 400 MB.
 BUILD_TABLE_ENTRIES = 512
 

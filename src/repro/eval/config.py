@@ -128,7 +128,7 @@ class ExecConfig:
     #: tests shrink it, production leaves the default).
     retry_backoff_s: float = 0.05
     #: compiled execution tier (repro.machine.compile), the default campaign
-    #: engine since delta codegen made per-site compiles cheap.  Bit-
+    #: engine.  Bit-
     #: transparent: records are signature-identical to the interpreter, so
     #: this knob is deliberately excluded from store fingerprints.  Set
     #: ``DPMR_COMPILE=0`` to opt out; whenever a run needs tracing or

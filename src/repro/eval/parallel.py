@@ -528,42 +528,6 @@ def _worker_decision(
     return effective, reason, None
 
 
-def _warm_compiled_bases(
-    jobs: Sequence[CampaignJob], states: Sequence[Optional[JobBuildState]]
-) -> None:
-    """Pre-generate compiled code for every pristine/base-transform module.
-
-    Delta codegen splices per-site code against a *base* generation of the
-    same function; anchoring the bases on the pristine snapshot (and each
-    DPMR transform of it) before any faulty build compiles means every
-    per-site compile takes the cheap delta path, and forked workers
-    inherit the warm base info via copy-on-write.  Each base is warmed
-    under the runtime-specialization spec of every variant that uses it,
-    which is part of the codegen context key — that is the context the
-    per-experiment machines actually compile under.  Failures are
-    ignored — anything that refuses to compile falls back to the
-    interpreter at run time exactly as it would without warm-up.
-    """
-    from ..core.runtime import diversity_codegen_spec
-    from ..machine.compile import compiled_program_for
-
-    for job, state in zip(jobs, states):
-        if state is None:
-            continue
-        try:
-            compiled_program_for(state.pristine)
-        except Exception:  # pragma: no cover — interp fallback handles it
-            pass
-        for variant, base in zip(job.variants, state.bases):
-            if base is None:
-                continue
-            spec = diversity_codegen_spec(variant.effective_diversity())
-            try:
-                compiled_program_for(base.compiler.base_module, spec)
-            except Exception:  # pragma: no cover
-                pass
-
-
 def _job_manifests(
     jobs: Sequence[CampaignJob],
     states: _States,
@@ -854,8 +818,6 @@ def run_campaign_jobs_with_manifest(
                 n_jobs=len(jobs),
                 n_items=len(items),
             )
-            if use_compiled and states is not None:
-                _warm_compiled_bases(jobs, states)
             # Coordinator-process snapshot: forked workers' codegen stats do
             # not cross the process boundary, so the deltas below cover
             # serial runs and the coordinator's share of parallel ones

@@ -3,7 +3,9 @@
 The interpreter (:mod:`repro.machine.interpreter`) pays a decoded-dispatch
 tax on every instruction: a tuple unpack, bookkeeping, a handler call, and
 one `regs` dict access per operand.  This module removes that tax by
-emitting one specialized Python function per IR function:
+emitting one specialized Python function per IR function, whole, through
+:func:`generate_function_source` (``repro.machine.compile`` calls it the
+first time a program that runs the function is bound):
 
 * registers become Python locals;
 * struct layouts (`field_offset`/`sizeof`), global addresses, and function
@@ -63,13 +65,11 @@ compiled call chain uses fewer Python frames than an interpreted one.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir import instructions as ins
-from ..ir.printer import format_instruction
 from ..ir.types import FloatType, IntType, PointerType, field_offset, sizeof
 from ..ir.values import (
     ConstFloat,
@@ -78,13 +78,8 @@ from ..ir.values import (
     FunctionRef,
     GlobalRef,
     Register,
-    Value,
 )
 from .interpreter import COSTS, _EXPENSIVE_BINOPS
-
-#: Bumped whenever the shape of generated source changes; part of every
-#: delta-cache key (see repro.machine.compile).
-CODEGEN_VERSION = 4
 
 
 class CodegenUnsupported(Exception):
@@ -204,132 +199,6 @@ def sanitize(name: str) -> str:
     return _SANITIZE.sub("_", name)
 
 
-# -- delta codegen data model ------------------------------------------------
-#
-# A generated function is recorded as a *frame* (header, prelude, dispatch
-# skeleton, alloca try/finally) plus one ``ChainChunk`` per leader chain.
-# Fault injection edits a handful of blocks in one function, so a per-site
-# regeneration only re-emits the chains whose IR actually changed and
-# splices the untouched chunks' lines back in **by identity** — sound
-# because a chunk's text is a pure function of (its chain's instructions,
-# the register→local mapping entries it used, the leader index table, and
-# the module context folds), all of which the reuse check pins.
-
-
-@dataclass
-class ChainChunk:
-    """One emitted leader chain: the unit of delta reuse."""
-
-    leader: str
-    labels: Tuple[str, ...]
-    blocks: Tuple[object, ...]  # the IR BasicBlocks emitted (for comparison)
-    lines: Tuple[str, ...]
-    prelude: FrozenSet[str]
-    used: Tuple[Tuple[str, str], ...]  # (IR register, python local) referenced
-    indent: int
-
-
-@dataclass
-class GeneratedFunction:
-    """Source plus the structure needed to delta-regenerate it later."""
-
-    source: str
-    src_sha: str
-    fn_name: str
-    pyname: str
-    params: Tuple[str, ...]
-    leader_labels: Tuple[str, ...]
-    splice: FrozenSet[str]
-    has_alloca: bool
-    needs_loop: bool
-    body: List[str]
-    spans: Dict[str, Tuple[int, int]]
-    chunks: Dict[str, ChainChunk]
-    reused_leaders: Tuple[str, ...] = ()
-
-
-@dataclass
-class DeltaPlan:
-    """A delta generation split at the point where its fingerprint is known
-    (so callers can consult caches before paying for chain emission)."""
-
-    emitter: "_FnEmitter"
-    params: Tuple[str, ...]
-    changed: List
-    reused: Dict[str, ChainChunk]
-    delta_fp: str
-
-
-def _value_eq(a, b) -> bool:
-    if a is b:
-        return True
-    k = type(a)
-    if k is not type(b):
-        return False
-    if k is Register:
-        return a.name == b.name and a.type == b.type
-    if k is ConstInt:
-        return a.value == b.value and a.type == b.type
-    if k is ConstFloat:
-        # repr distinguishes -0.0 from 0.0 and unifies NaNs, matching the
-        # literal the emitter would produce.
-        return repr(a.value) == repr(b.value) and a.type == b.type
-    if k is ConstNull:
-        return a.type == b.type
-    if k is GlobalRef or k is FunctionRef:
-        return a.name == b.name and a.type == b.type
-    return False
-
-
-def _field_eq(va, vb) -> bool:
-    if va is vb:
-        return True
-    if isinstance(va, Value) and isinstance(vb, Value):
-        return _value_eq(va, vb)
-    if isinstance(va, Value) or isinstance(vb, Value):
-        return False
-    if isinstance(va, list) and isinstance(vb, list):
-        return len(va) == len(vb) and all(
-            _field_eq(x, y) for x, y in zip(va, vb)
-        )
-    return va == vb  # str/int/None/Type (types define structural __eq__)
-
-
-def _inst_eq(a, b) -> bool:
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    da, db = a.__dict__, b.__dict__
-    if da.keys() != db.keys():
-        return False
-    return all(_field_eq(va, db[k]) for k, va in da.items())
-
-
-def _block_eq(a, b) -> bool:
-    ia, ib = a.instructions, b.instructions
-    if len(ia) != len(ib):
-        return False
-    return all(_inst_eq(x, y) for x, y in zip(ia, ib))
-
-
-def _chain_matches(bchunk: ChainChunk, chain: List, regmap: Dict[str, str]) -> bool:
-    """Whether ``bchunk``'s lines are exact for this function's chain: same
-    blocks (structurally) and every register name the chunk referenced maps
-    to the same Python local in the new function."""
-    if len(chain) != len(bchunk.blocks):
-        return False
-    for fb, bb in zip(chain, bchunk.blocks):
-        if fb.label != bb.label:
-            return False
-        if fb is not bb and not _block_eq(fb, bb):
-            return False
-    for ir_name, py in bchunk.used:
-        if regmap.get(ir_name) != py:
-            return False
-    return True
-
-
 class _FnEmitter:
     """Lowers one IR function to Python source."""
 
@@ -342,10 +211,6 @@ class _FnEmitter:
         self.regmap: Dict[str, str] = {}
         self.taken: Set[str] = set()
         self.prelude: Set[str] = set()
-        self.chunks: Dict[str, ChainChunk] = {}
-        self.spans: Dict[str, Tuple[int, int]] = {}
-        self._used: Optional[Set[Tuple[str, str]]] = None
-        self._chain_prelude: Optional[Set[str]] = None
 
     # -- small helpers ------------------------------------------------------
 
@@ -362,17 +227,11 @@ class _FnEmitter:
                 n += 1
             self.taken.add(py)
             self.regmap[name] = py
-        if self._used is not None:
-            self._used.add((name, py))
         return py
 
     def need(self, *items: str) -> None:
-        """Request prelude bindings; per-chain needs are recorded in full
-        (not as a diff) so a delta reassembly can rebuild the prelude from
-        any subset of chunks."""
+        """Request prelude bindings."""
         self.prelude.update(items)
-        if self._chain_prelude is not None:
-            self._chain_prelude.update(items)
 
     def operand(self, v) -> str:
         k = type(v)
@@ -792,32 +651,11 @@ class _FnEmitter:
                 continue
             return out
 
-    def emit_chain_recorded(self, leader) -> None:
-        """Emit one leader chain and record it as a :class:`ChainChunk`."""
-        start = len(self.body)
-        indent = self.indent
-        chain = self.chain_blocks(leader)
-        self._used = set()
-        self._chain_prelude = set()
-        self.emit_chain(leader)
-        self.chunks[leader.label] = ChainChunk(
-            leader=leader.label,
-            labels=tuple(b.label for b in chain),
-            blocks=tuple(chain),
-            lines=tuple(self.body[start:]),
-            prelude=frozenset(self._chain_prelude),
-            used=tuple(sorted(self._used)),
-            indent=indent,
-        )
-        self.spans[leader.label] = (start, len(self.body))
-        self._used = None
-        self._chain_prelude = None
-
     def emit_dispatch(self, lo: int, hi: int) -> None:
         """Binary if-tree over leader indices: log2 depth, so deep CFGs
         never approach CPython's nesting limit the way inlining would."""
         if hi - lo == 1:
-            self.emit_chain_recorded(self.leaders[lo])
+            self.emit_chain(self.leaders[lo])
             return
         mid = (lo + hi) // 2
         if lo + 1 == mid:
@@ -871,9 +709,13 @@ class _FnEmitter:
         self.needs_loop = len(self.leaders) > 1 or pred[blocks[0].label] > 1
 
     def _prescan(self) -> Tuple[str, ...]:
-        """Assign every register's Python local up front, in chain emission
-        order, so names are independent of *which* chains a later delta
-        generation re-emits."""
+        """Assign every register's Python local up front, in chain order.
+
+        Emission visits an instruction's result before or after its
+        operands depending on the instruction, so naming on first use would
+        resolve sanitized-name collisions (``a.b`` vs ``a_b``) differently
+        from this fixed order.  The order is part of the generated text, and
+        so of every code-cache key."""
         params = tuple(self.reg(p.name) for p in self.fn.params)
         if len(set(params)) != len(params):
             raise CodegenUnsupported("duplicate parameter names")
@@ -901,34 +743,24 @@ class _FnEmitter:
             self.emit_dispatch(0, len(self.leaders))
             self.indent -= 1
         else:
-            self.emit_chain_recorded(self.blocks[0])
+            self.emit_chain(self.blocks[0])
         if self.has_alloca:
             self.indent -= 1
             self.line("finally:")
             self.line("    m.stack_top = _ss")
 
-    def generate(self) -> GeneratedFunction:
+    def generate(self) -> str:
         self._analyze()
         params = self._prescan()
         self._emit_body()
-        source = _assemble_source(self.pyname, params, self.prelude, self.body)
-        return GeneratedFunction(
-            source=source,
-            src_sha=hashlib.sha256(source.encode()).hexdigest(),
-            fn_name=self.fn.name,
-            pyname=self.pyname,
-            params=params,
-            leader_labels=tuple(b.label for b in self.leaders),
-            splice=frozenset(self.splice),
-            has_alloca=self.has_alloca,
-            needs_loop=self.needs_loop,
-            body=self.body,
-            spans=self.spans,
-            chunks=self.chunks,
-        )
+        header = f"def {self.pyname}(m{''.join(', ' + p for p in params)}):"
+        lines = [header]
+        lines.extend("    " + p for p in _prelude_lines(self.prelude))
+        lines.extend(self.body)
+        return "\n".join(lines) + "\n"
 
 
-def _prelude_lines(u: FrozenSet[str]) -> List[str]:
+def _prelude_lines(u: Set[str]) -> List[str]:
     out = []
     if u & {"_seg", "_rs", "_ws"}:
         out.append("_mem = m.memory")
@@ -956,113 +788,6 @@ def _prelude_lines(u: FrozenSet[str]) -> List[str]:
     return out
 
 
-def _assemble_source(
-    pyname: str, params: Tuple[str, ...], prelude, body: List[str]
-) -> str:
-    header = f"def {pyname}(m{''.join(', ' + p for p in params)}):"
-    lines = [header]
-    lines.extend("    " + p for p in _prelude_lines(prelude))
-    lines.extend(body)
-    return "\n".join(lines) + "\n"
-
-
-def generate_function(fn, ctx: ProgramContext, pyname: str) -> GeneratedFunction:
-    """Full generation for one IR function (raises :class:`CodegenUnsupported`)."""
-    return _FnEmitter(fn, ctx, pyname).generate()
-
-
 def generate_function_source(fn, ctx: ProgramContext, pyname: str) -> str:
     """Python source for one IR function, or raise :class:`CodegenUnsupported`."""
-    return _FnEmitter(fn, ctx, pyname).generate().source
-
-
-def plan_function_delta(
-    fn, ctx: ProgramContext, pyname: str, base: GeneratedFunction
-) -> Optional[DeltaPlan]:
-    """Decide which of ``base``'s chains survive for ``fn`` verbatim.
-
-    Returns None when the function's shape diverged (different leaders,
-    splices, params, or frame) — the caller falls back to full generation.
-    On success the plan's ``delta_fp`` fingerprints exactly the changed
-    chains (printed IR, which covers fault-site markers), so together with
-    ``base.src_sha`` it content-addresses the assembled source *before*
-    any emission happens.
-    """
-    em = _FnEmitter(fn, ctx, pyname)
-    em._analyze()
-    if (
-        fn.name != base.fn_name
-        or pyname != base.pyname
-        or tuple(b.label for b in em.leaders) != base.leader_labels
-        or frozenset(em.splice) != base.splice
-        or em.has_alloca != base.has_alloca
-        or em.needs_loop != base.needs_loop
-    ):
-        return None
-    params = em._prescan()
-    if params != base.params:
-        return None
-    changed: List = []
-    reused: Dict[str, ChainChunk] = {}
-    fp = hashlib.sha256()
-    for leader in em.leaders:
-        bchunk = base.chunks[leader.label]
-        chain = em.chain_blocks(leader)
-        if _chain_matches(bchunk, chain, em.regmap):
-            reused[leader.label] = bchunk
-            continue
-        changed.append(leader)
-        fp.update(f"\x00chain {leader.label}\n".encode())
-        for b in chain:
-            fp.update(f"\x01block {b.label}\n".encode())
-            for inst in b.instructions:
-                fp.update(format_instruction(inst).encode())
-                fp.update(b"\n")
-    return DeltaPlan(em, params, changed, reused, fp.hexdigest())
-
-
-def complete_function_delta(
-    plan: DeltaPlan, base: GeneratedFunction
-) -> GeneratedFunction:
-    """Emit the plan's changed chains and splice them into ``base``'s frame.
-
-    Untouched chains' chunk objects — including their ``lines`` tuples —
-    are reused by identity; only the changed chains pay emission cost.
-    """
-    em = plan.emitter
-    new_chunks: Dict[str, ChainChunk] = dict(plan.reused)
-    for leader in plan.changed:
-        em.body = []
-        em.indent = base.chunks[leader.label].indent
-        em.emit_chain_recorded(leader)
-        new_chunks[leader.label] = em.chunks[leader.label]
-    body: List[str] = []
-    spans: Dict[str, Tuple[int, int]] = {}
-    prelude: Set[str] = set()
-    prev_end = 0
-    for label in base.leader_labels:
-        bstart, bend = base.spans[label]
-        body.extend(base.body[prev_end:bstart])
-        prev_end = bend
-        chunk = new_chunks[label]
-        start = len(body)
-        body.extend(chunk.lines)
-        spans[label] = (start, len(body))
-        prelude |= chunk.prelude
-    body.extend(base.body[prev_end:])
-    source = _assemble_source(plan.emitter.pyname, plan.params, prelude, body)
-    return GeneratedFunction(
-        source=source,
-        src_sha=hashlib.sha256(source.encode()).hexdigest(),
-        fn_name=base.fn_name,
-        pyname=base.pyname,
-        params=plan.params,
-        leader_labels=base.leader_labels,
-        splice=base.splice,
-        has_alloca=base.has_alloca,
-        needs_loop=base.needs_loop,
-        body=body,
-        spans=spans,
-        chunks=new_chunks,
-        reused_leaders=tuple(plan.reused),
-    )
+    return _FnEmitter(fn, ctx, pyname).generate()

@@ -27,7 +27,7 @@ stages:
    (``items=`` subsets, streaming ``on_record``; faulty builds are
    build-table entries too), which brings along the executor's whole
    resilience stack — supervised workers, retry/backoff, site
-   quarantine, store writes, warm compiled bases.  Completions hop back to the loop via
+   quarantine, store writes.  Completions hop back to the loop via
    ``call_soon_threadsafe`` and fan out to every subscribed request.
 
 Each request gets its own ``mode="service"`` manifest at the end:

@@ -192,16 +192,13 @@ def test_codegen_cache_hits_grow_on_recompilation():
     after = codegen_stats()
     assert after["hits"] > mid["hits"]
     assert after["misses"] == mid["misses"]
-    assert set(CODEGEN_STATS) == {
-        "hits", "misses", "delta_hits", "delta_builds", "stamp_hits",
-        "program_hits",
-    }
+    assert set(CODEGEN_STATS) == {"hits", "misses", "stamp_hits"}
 
 
 #: Fresh code compiles of the campaign below from cold codegen caches.
 #: The codegen work of a campaign is a pure function of the transformed
 #: text, so this count moves only when generated code or its sharing does.
-RESIZE_CAMPAIGN_COMPILES = 13
+RESIZE_CAMPAIGN_COMPILES = 10
 
 
 def test_runtime_specialization_binding_and_code_sharing(monkeypatch):
@@ -282,6 +279,97 @@ def test_runtime_specialization_binding_and_code_sharing(monkeypatch):
                 assert fn.__code__ is first[fname].__code__, fname
 
     assert compiles == RESIZE_CAMPAIGN_COMPILES
+
+
+#: Fresh code compiles of a cold art campaign under one SDS variant over
+#: all four resize sites: each site's faulty ``mainAug`` plus the ``main``
+#: stub, whose text every faulty build shares.
+ART_CAMPAIGN_COMPILES = 5
+
+
+def test_cold_campaign_compiles_only_what_it_runs():
+    """A campaign runs faulty builds, never the base transform they are
+    built from, so the base's functions are never generated or compiled.
+
+    art has one defined function, so every site's faulty build replaces
+    the base's only transformed function: nothing of the base is shared
+    with what runs.
+    """
+    from repro.eval.parallel import job_for_harness
+    from repro.faultinject import HEAP_ARRAY_RESIZE
+    from repro.faultinject.injector import enumerate_sites
+    from repro.machine import compile as C
+
+    harness = WorkloadHarness("art", app_factory("art", 1), seeds=(0,))
+    variants = [Variant(name="sds", design="sds")]
+    n_sites = len(enumerate_sites(harness.pristine, HEAP_ARRAY_RESIZE))
+    C.reset_codegen_caches(code_cache=True)
+    before = codegen_stats()
+    result = run(
+        harness, variants, kind=HEAP_ARRAY_RESIZE, config=ExecConfig(jobs=1)
+    )
+    compiles = codegen_stats()["misses"] - before["misses"]
+    assert result.manifest.engine == "compiled"
+    assert len(result.records) == n_sites == 4
+
+    state = job_for_harness(harness, variants, HEAP_ARRAY_RESIZE).build_state()
+    base = state.bases[0].compiler.base_module
+    assert not hasattr(base.functions["mainAug"], "_cg_cache")
+    assert compiles == ART_CAMPAIGN_COMPILES
+
+
+def test_codegen_caches_evict_lru_one_entry_at_a_time(monkeypatch):
+    """Both process-wide codegen maps keep a constant entry budget: an
+    insert past it evicts exactly the least recently used entry, and a
+    campaign that keeps evicting (and so regenerates code) still records
+    what the interpreter records."""
+    from repro.eval.builds import reset_build_table
+    from repro.eval.variants import stdapp_variant
+    from repro.faultinject import HEAP_ARRAY_RESIZE
+    from repro.machine import compile as C
+
+    budget = 3
+    monkeypatch.setattr(C, "CODE_CACHE_ENTRIES", budget)
+    monkeypatch.setattr(C, "STAMP_CACHE_ENTRIES", budget)
+    put = C._lru_put
+    evicted = {"code": 0, "stamp": 0}
+
+    def checked_put(cache, key, value, limit):
+        name = "code" if cache is C._CODE_CACHE else "stamp"
+        assert limit == budget
+        before = list(cache)
+        assert key not in before  # only misses insert
+        put(cache, key, value, limit)
+        assert len(cache) <= budget
+        assert list(cache) == (before + [key])[-budget:]
+        if len(before) == budget:
+            evicted[name] += 1
+
+    monkeypatch.setattr(C, "_lru_put", checked_put)
+    C.reset_codegen_caches(code_cache=True)
+    harness = WorkloadHarness("mcf", app_factory("mcf", 1), seeds=(0,))
+    variants = (
+        [stdapp_variant()]
+        + diversity_variants("sds")[:2]
+        + policy_variants("sds")[:1]
+    )
+
+    def campaign(**cfg):
+        return run(
+            harness,
+            variants,
+            kind=HEAP_ARRAY_RESIZE,
+            config=ExecConfig(jobs=1, **cfg),
+            max_sites=2,
+        )
+
+    reference = [r.signature() for r in campaign(compiled=False).records]
+    assert [r.signature() for r in campaign().records] == reference
+    # Rebuilt functions look their code up by stamp, some of it evicted.
+    reset_build_table()
+    assert [r.signature() for r in campaign().records] == reference
+    assert evicted["code"] > 0 and evicted["stamp"] > 0
+    assert len(C._CODE_CACHE) <= budget and len(C._STAMP_CACHE) <= budget
 
 
 # -- eval-layer surface --------------------------------------------------

@@ -1,18 +1,11 @@
-"""Delta codegen and the campaign hot path.
+"""The compiled-by-default campaign hot path.
 
-PR 7 made the compiled tier the default campaign engine.  The machinery
-that makes that profitable has two layers, each pinned here:
-
-* **delta codegen** (machine/codegen.py) — per-site code regenerates only
-  the leader chains the fault transform touched; untouched chains' chunk
-  objects (including their ``lines`` tuples) must be reused *by identity*,
-  and the spliced source must equal a from-scratch generation byte for
-  byte;
-* **campaign hot path** — compiled-by-default interplay with the result
-  store (``compiled`` is excluded from the exec fingerprint, so a cold
-  interpreter run resumes warm under the compiled default bit-identically),
-  the single-core serial fallback, and the per-run segment buffer reuse
-  that eliminated the dominant fixed cost of an experiment.
+The compiled tier is the default campaign engine.  What makes that safe
+and cheap is pinned here: compiled-by-default interplay with the result
+store (``compiled`` is excluded from the exec fingerprint, so a cold
+interpreter run resumes warm under the compiled default bit-identically),
+the per-run segment buffer reuse that eliminated the dominant fixed cost
+of an experiment, and the single-core serial fallback.
 """
 
 import pytest
@@ -22,106 +15,12 @@ from repro.eval.api import run
 from repro.eval.config import ExecConfig
 from repro.eval.experiment import WorkloadHarness
 from repro.eval.variants import Variant
-from repro.faultinject.injector import (
-    HEAP_ARRAY_RESIZE,
-    IMMEDIATE_FREE,
-    enumerate_sites,
-    inject,
-)
+from repro.faultinject.injector import IMMEDIATE_FREE
 from repro.machine import memory as M
-from repro.machine.codegen import (
-    ProgramContext,
-    complete_function_delta,
-    generate_function,
-    plan_function_delta,
-    sanitize,
-)
-from repro.machine.interpreter import (
-    FUNC_ADDR_BASE,
-    FUNC_ADDR_STRIDE,
-    compute_global_layout,
-)
-from repro.machine.memory import DEFAULT_GLOBALS_SIZE, GLOBALS_BASE, Segment
+from repro.machine.memory import Segment
 
 
-def _ctx_for(module) -> ProgramContext:
-    """The exact context CompiledProgram builds (same folds, same names)."""
-    layout = compute_global_layout(
-        module, GLOBALS_BASE, GLOBALS_BASE + DEFAULT_GLOBALS_SIZE
-    )
-    func_addrs = {
-        name: FUNC_ADDR_BASE + i * FUNC_ADDR_STRIDE
-        for i, name in enumerate(module.functions)
-    }
-    fn_info = {
-        name: (f"_f{i}_{sanitize(name)[:40]}", len(fn.params), fn.is_external)
-        for i, (name, fn) in enumerate(module.functions.items())
-    }
-    return ProgramContext(layout, func_addrs, fn_info)
-
-
-# -- delta codegen: identity reuse of untouched chains -------------------
-
-
-@pytest.mark.parametrize("kind", [HEAP_ARRAY_RESIZE, IMMEDIATE_FREE])
-def test_delta_reuses_untouched_chains_by_identity(kind):
-    """A fault-injected function's regeneration must reuse every untouched
-    chain's chunk — and its ``lines`` tuple — *by object identity* (not
-    equality: identity proves no string work happened), re-emitting only
-    the chains the injector touched, while assembling source byte-equal
-    to a from-scratch generation of the faulty function."""
-    pristine = app_factory("mcf", 1)()
-    ctx = _ctx_for(pristine)
-    exercised = 0
-    for site in enumerate_sites(pristine, kind):
-        pyname = ctx.fn_info[site.function][0]
-        try:
-            base = generate_function(
-                pristine.functions[site.function], ctx, pyname
-            )
-        except Exception:
-            continue  # uncompilable function: the shim path covers it
-        faulty = inject(
-            pristine.clone(mutable_functions=(site.function,)), site
-        )
-        fn = faulty.functions[site.function]
-        plan = plan_function_delta(fn, ctx, pyname, base)
-        assert plan is not None, site.site_id
-        assert plan.changed, site.site_id  # the injected chain did change
-        gen = complete_function_delta(plan, base)
-        assert set(gen.reused_leaders) == set(plan.reused)
-        for label in gen.reused_leaders:
-            assert gen.chunks[label] is base.chunks[label]
-            assert gen.chunks[label].lines is base.chunks[label].lines
-        changed_labels = set(base.leader_labels) - set(gen.reused_leaders)
-        assert changed_labels
-        for label in changed_labels:
-            assert gen.chunks[label] is not base.chunks.get(label)
-        # The spliced source is indistinguishable from a full generation.
-        full = generate_function(fn, ctx, pyname)
-        assert gen.source == full.source
-        assert gen.src_sha == full.src_sha
-        if gen.reused_leaders:
-            exercised += 1
-    # At least one site must have actually exercised chain reuse, or the
-    # delta tier is vacuous for this workload.
-    assert exercised > 0
-
-
-def test_delta_plan_refuses_reshaped_function():
-    # A function whose chain structure diverged (different leaders) must
-    # fall back to full generation, not produce a bogus splice.
-    module = app_factory("mcf", 1)()
-    ctx = _ctx_for(module)
-    names = [
-        n for n, fn in module.functions.items() if not fn.is_external
-    ]
-    a, b = names[0], names[1]
-    ga = generate_function(module.functions[a], ctx, ctx.fn_info[a][0])
-    assert (
-        plan_function_delta(module.functions[b], ctx, ctx.fn_info[a][0], ga)
-        is None
-    )
+# -- campaign hot path: store resume across engines ----------------------
 
 
 def test_store_resume_cold_interp_warm_compiled_default(tmp_path):

@@ -185,9 +185,19 @@ class TestQuarantine:
 def _interrupted_campaign_child(store_dir, kind):
     """Child-process body: a serial campaign writing into the store.
 
-    The parent SIGKILLs this process mid-campaign; atomic store writes
-    guarantee every entry it managed to publish is complete.
+    It blocks at its third experiment, after the first two records are
+    stored, so the parent's SIGKILL always lands mid-campaign however fast
+    the experiments run; atomic store writes guarantee every entry it
+    managed to publish is complete.
     """
+    started = []
+
+    def block_at_third(item):
+        started.append(item)
+        if len(started) == 3:
+            signal.pause()
+
+    par._CHAOS_HOOK = block_at_third
     config = ExecConfig(jobs=1, store_path=store_dir)
     run(make_harness(), make_variants(), kind=kind, config=config)
 
@@ -225,12 +235,14 @@ class TestInterruptedResume:
             if _store_entry_count(store_dir) >= 2 or not child.is_alive():
                 break
             time.sleep(0.01)
-        interrupted = child.is_alive()
-        if interrupted:
-            os.kill(child.pid, signal.SIGKILL)
+        # The child blocks before its third experiment, so it is still
+        # running here unless it died.
+        assert child.is_alive()
+        os.kill(child.pid, signal.SIGKILL)
         child.join(timeout=10.0)
+        assert not child.is_alive()
         partial = _store_entry_count(store_dir)
-        assert partial >= 2
+        assert partial == 2
 
         # Resume: same campaign, same store, this process.
         harness = make_harness()
@@ -246,10 +258,9 @@ class TestInterruptedResume:
             r.signature() for r in clean.records
         ]
         m = resumed.manifest
-        assert m.store_hits >= min(partial, len(clean.records))
+        assert m.store_hits == partial
         assert m.store_hits + m.store_misses == len(clean.records)
-        if interrupted:
-            assert m.store_misses > 0  # the kill really interrupted work
+        assert m.store_misses > 0  # the kill really interrupted work
         # A third run is served entirely from the store.
         again = run(
             harness,
