@@ -310,9 +310,10 @@ def smoke() -> None:
     #    deterministically; a full run still gates the overhead.
     obs = bench_obs()
     print(
-        f"smoke: bare {obs['bare_ips']:,} ips, "
-        f"null-tracer {obs['null_tracer_ips']:,} ips "
-        f"({obs['null_tracer_overhead_pct']:+.2f}%, not gated)"
+        f"smoke: best-of-{obs['reps']} bare {obs['bare_ips']:,} ips, "
+        f"best-of-{obs['reps']} null-tracer {obs['null_tracer_ips']:,} ips; "
+        f"null-tracer overhead {obs['null_tracer_overhead_raw_pct']:+.2f}% "
+        f"(paired median of {obs['reps']} reps, not gated)"
     )
 
     # 3. End-to-end: a small traced campaign whose T2D must be recomputable

@@ -39,13 +39,18 @@ from typing import (
     Union,
 )
 
-from ..obs.counters import total_counters
 from ..obs.manifest import RunManifest
 from ..obs.tracer import real_tracer
 from .builds import build_scope
 from .config import ExecConfig
 from .experiment import ExperimentRecord, WorkloadHarness
-from .parallel import CampaignJob, job_for_harness, run_campaign_jobs_with_manifest
+from .parallel import (
+    CampaignJob,
+    finish_manifest,
+    job_for_harness,
+    manifest_for,
+    run_campaign_jobs_with_manifest,
+)
 from .variants import Variant, resolve_variants
 
 
@@ -302,32 +307,25 @@ def _run_clean(
     tracer=None,
 ) -> CampaignResult:
     """Clean runs of every (variant, seed), with the same manifest shape."""
+    from ..machine.compile import codegen_stats
+
     cfg = config if config is not None else harness.config
-    if cfg is None:
-        cfg = ExecConfig.from_env()
     own_tracer = tracer is None
     if own_tracer:
         tracer = cfg.make_tracer()
     tracer = real_tracer(tracer)
     counters = cfg.counters or tracer is not None
-    # Observability forces the instrumented interpreter (see parallel.py).
-    use_compiled = cfg.compiled and not counters
-
-    manifest = RunManifest(
-        mode="clean",
-        requested_jobs=cfg.jobs,
+    manifest = manifest_for(
+        "clean",
+        cfg,
+        counters,
         effective_jobs=1,
         worker_reason="clean runs execute serially",
         incremental=False,
         trace_path=cfg.trace_path if (own_tracer and tracer is not None) else None,
-        counters_enabled=counters,
-        engine="compiled" if use_compiled else "interp",
-        timeout_factor=cfg.timeout_factor,
         n_jobs=1,
         n_items=len(variants) * len(harness.seeds),
     )
-    from ..machine.compile import codegen_stats
-
     cg_before = codegen_stats()
     started = time.monotonic()
     records: List[ExperimentRecord] = []
@@ -340,22 +338,11 @@ def _run_clean(
                         seed=seed,
                         tracer=tracer,
                         counters=counters,
-                        compiled=use_compiled,
+                        compiled=cfg.compiled,
                     )
                 )
     finally:
         if own_tracer and tracer is not None:
             tracer.close()
-    manifest.wall_s = time.monotonic() - started
-    cg_after = codegen_stats()
-    manifest.codegen_hits = cg_after["hits"] - cg_before["hits"]
-    manifest.codegen_misses = cg_after["misses"] - cg_before["misses"]
-    manifest.n_records = len(records)
-    for r in records:
-        s = r.result.status.value
-        manifest.status_counts[s] = manifest.status_counts.get(s, 0) + 1
-    manifest.counter_totals = total_counters(r.result.counters for r in records)
-    out_path = cfg.effective_manifest_path()
-    if out_path is not None:
-        manifest.write(out_path)
+    finish_manifest(manifest, cfg, records, time.monotonic() - started, cg_before)
     return CampaignResult(records, manifest)

@@ -17,7 +17,7 @@ Knobs (all optional):
 ``DPMR_RETRIES``          infrastructure retries per experiment before its
                           site is quarantined (default 2)
 ``DPMR_EXP_TIMEOUT``      per-experiment wall-clock budget in seconds for
-                          supervised workers (default 0 = unlimited)
+                          worker processes (default 0 = unlimited)
 ``DPMR_COMPILE``          ``0``/``false`` opts out of the compiled execution
                           tier (on by default; bit-identical records; ignored
                           when observability forces the instrumented
@@ -121,8 +121,9 @@ class ExecConfig:
     #: infrastructure retries per experiment before its site is quarantined.
     retries: int = DEFAULT_RETRIES
     #: per-experiment wall-clock budget (seconds) enforced by the worker
-    #: supervisor; 0 disables the budget.  Serial execution cannot preempt
-    #: an experiment, so the budget only applies to supervised workers.
+    #: supervisor; 0 disables the budget.  A serial campaign runs in-process,
+    #: where nothing can preempt an experiment, so the budget only applies
+    #: to worker processes (the manifest's ``worker_reason`` says so).
     exp_timeout_s: float = 0.0
     #: base of the exponential retry backoff (not environment-exposed;
     #: tests shrink it, production leaves the default).

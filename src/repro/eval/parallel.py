@@ -54,21 +54,21 @@ is built, so re-running a campaign skips already-computed tuples (and
 their builds) and an interrupted campaign resumes where it died.  Parallel
 workers run under a :class:`~repro.eval.supervise.WorkerSupervisor` — a
 SIGKILLed or wedged worker is detected, respawned, and its experiment
-retried with exponential backoff; serial execution applies the same
-bounded-retry policy to infrastructure exceptions.  An experiment that
-keeps failing has its fault *site* quarantined: the site's records are
-excluded from the result, the campaign completes, and the run manifest
-records the quarantine, every retry, and all store traffic — degradation
-is never silent.  All of this
-is bit-transparent: the surviving records are byte-identical to an
-uninterrupted serial run without a store.
+retried with exponential backoff; a serial campaign runs the same
+supervisor loop in-process (one worker, no wall-clock budget).  An
+experiment that keeps failing has its fault *site* quarantined: the site's
+records are excluded from the result, the campaign completes, and the run
+manifest records the quarantine, every retry, and all store traffic —
+degradation is never silent.  All of this is bit-transparent: the
+surviving records are byte-identical to an uninterrupted serial run
+without a store.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import multiprocessing
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -94,12 +94,8 @@ from .builds import (
 )
 from .config import ExecConfig
 from .experiment import ExperimentRecord
-from .store import (
-    exec_fingerprint,
-    experiment_key,
-    variant_fingerprint,
-)
-from .supervise import SupervisionStats, WorkerSupervisor
+from .store import exec_fingerprint, tuple_key, variant_fingerprint
+from .supervise import SupervisionStats, WorkerSupervisor, serve
 from .variants import CompiledVariant, Variant
 
 logger = logging.getLogger("repro.eval.parallel")
@@ -315,13 +311,7 @@ _Item = Tuple[int, int, int, int]
 # per job, no tuple of that job left to run).
 _States = Optional[List[Optional[JobBuildState]]]
 
-# Worker-side state.  Populated in the parent immediately before workers are
-# forked (fork inherits it); None in a plain process.
-_WORKER_JOBS: Optional[List[CampaignJob]] = None
-_WORKER_STATES: _States = None
-_WORKER_TRACER = None  # file-backed tracer shared with workers (fork-aware)
-_WORKER_COUNTERS = False
-_WORKER_USE_COMPILED = False  # compiled execution tier (DPMR_COMPILE)
+# Full-rebuild builds of the running campaign (emptied before workers fork).
 _COMPILED: "OrderedDict[Tuple[int, int, int], CompiledVariant]" = OrderedDict()
 
 #: Test-only chaos hook: a callable invoked with each experiment tuple at
@@ -400,8 +390,11 @@ def _run_item(
     item: _Item,
     tracer=None,
     counters: bool = False,
-    use_compiled: bool = False,
+    compiled: bool = False,
 ) -> ExperimentRecord:
+    """One experiment tuple's record.  A campaign binds everything but
+    ``item`` (:func:`functools.partial`); forked workers inherit that
+    callable, and the in-process mode calls it directly."""
     ji, si, vi, ri = item
     hook = _CHAOS_HOOK
     if hook is not None:
@@ -409,7 +402,7 @@ def _run_item(
     job = jobs[ji]
     variant = job.variants[vi].name
     site = job.sites[si].site_id
-    compiled = _compiled_for(jobs, states, item)
+    build = _compiled_for(jobs, states, item)
     trace_meta = None
     if tracer is not None:
         trace_meta = {
@@ -420,14 +413,14 @@ def _run_item(
             "run": ri,
             "golden_output": job.golden_output,
         }
-    result = compiled.run(
+    result = build.run(
         argv=job.argv,
         max_cycles=job.timeout,
         seed=job.seeds[ri],
         tracer=tracer,
         counters=counters,
         trace_meta=trace_meta,
-        compiled=use_compiled,
+        compiled=compiled,
     )
     return ExperimentRecord(
         workload=job.workload,
@@ -437,46 +430,6 @@ def _run_item(
         result=result,
         golden_output=job.golden_output,
     )
-
-
-def _supervised_worker(wid: int, task_conn, result_conn) -> None:
-    """Worker entry point: execute experiment tuples until told to stop.
-
-    Receives one item at a time over its private task pipe (per-item
-    dispatch is what lets the supervisor attribute a crash or hang to a
-    specific experiment) and reports ``(wid, item, ok, payload)`` on its
-    private result pipe; an infrastructure exception is reported as a
-    failure message rather than killing the worker, so the supervisor can
-    decide between retry and quarantine.  ``None`` or EOF on the task
-    pipe means shut down.
-    """
-    jobs = _WORKER_JOBS
-    assert jobs is not None, "worker forked before _WORKER_JOBS was set"
-    while True:
-        try:
-            item = task_conn.recv()
-        except (EOFError, OSError):
-            return
-        if item is None:
-            return
-        try:
-            record = _run_item(
-                jobs,
-                _WORKER_STATES,
-                item,
-                tracer=_WORKER_TRACER,
-                counters=_WORKER_COUNTERS,
-                use_compiled=_WORKER_USE_COMPILED,
-            )
-        except BaseException as exc:  # noqa: BLE001 — reported, not hidden
-            try:
-                result_conn.send(
-                    (wid, item, False, f"{type(exc).__name__}: {exc}")
-                )
-            except Exception:
-                os._exit(1)
-            continue
-        result_conn.send((wid, item, True, record))
 
 
 def _all_items(jobs: Sequence[CampaignJob]) -> List[_Item]:
@@ -575,13 +528,9 @@ def _store_index(
 
     Returns ``(cached, keys, key_fields)``: records served as hits, the
     content address of every item, and the human-readable key fields
-    persisted with each entry.  Module fingerprints are each job's pristine
-    digest — by the factory-determinism contract the snapshot's text
-    equals the text of every module a worker would rebuild — so nothing
-    is built to look a campaign up.
+    persisted with each entry (:func:`~repro.eval.store.tuple_key`).
     """
     exec_fp = exec_fingerprint(config)
-    module_shas = [job.pristine_snapshot()[1] for job in jobs]
     variant_fps = [[variant_fingerprint(v) for v in job.variants] for job in jobs]
 
     cached: Dict[_Item, ExperimentRecord] = {}
@@ -589,23 +538,10 @@ def _store_index(
     key_fields: Dict[_Item, Dict] = {}
     for item in items:
         ji, si, vi, ri = item
-        job = jobs[ji]
-        fields = {
-            "workload": job.workload,
-            "kind": job.kind,
-            "percent": job.percent,
-            "site": job.sites[si].site_id,
-            "variant_fp": variant_fps[ji][vi],
-            "seed": job.seeds[ri],
-            "run": ri,
-            "argv": list(job.argv),
-            "timeout": job.timeout,
-            "exec_fp": exec_fp,
-            "module_sha": module_shas[ji],
-        }
-        key = experiment_key(**fields)
+        key, key_fields[item] = tuple_key(
+            jobs[ji], si, variant_fps[ji][vi], ri, exec_fp
+        )
         keys[item] = key
-        key_fields[item] = fields
         record = store.get(key)
         if record is not None:
             cached[item] = record
@@ -618,74 +554,6 @@ def _build_states_for(
     """Build-table views for the jobs ``items`` touch (None elsewhere)."""
     needed = {item[0] for item in items}
     return [job.build_state() if ji in needed else None for ji, job in enumerate(jobs)]
-
-
-def _run_serial_supervised(
-    jobs: List[CampaignJob],
-    states: _States,
-    misses: List[_Item],
-    config: ExecConfig,
-    tracer,
-    counters: bool,
-    use_compiled: bool,
-    stats: SupervisionStats,
-    on_result,
-    cancel=None,
-) -> Dict[_Item, ExperimentRecord]:
-    """The serial execution path with bounded retry and quarantine.
-
-    Serial execution cannot preempt a wedged experiment (no wall-clock
-    budget applies), but infrastructure exceptions get the same
-    retry-with-backoff and site-quarantine treatment as supervised workers,
-    so a poisoned site degrades the campaign instead of aborting it.
-    ``cancel`` (a ``threading.Event``-alike) stops dispatch between items —
-    the campaign service uses it for prompt daemon shutdown.
-    """
-    computed: Dict[_Item, ExperimentRecord] = {}
-    for item in misses:
-        if cancel is not None and cancel.is_set():
-            break
-        site = item[:2]
-        if site in stats.quarantined:
-            continue
-        attempt = 0
-        while True:
-            try:
-                record = _run_item(
-                    jobs,
-                    states,
-                    item,
-                    tracer=tracer,
-                    counters=counters,
-                    use_compiled=use_compiled,
-                )
-            except Exception as exc:
-                attempt += 1
-                reason = f"{type(exc).__name__}: {exc}"
-                if attempt > config.retries:
-                    logger.warning(
-                        "quarantining site %r after %d failed attempt(s): %s",
-                        site,
-                        attempt,
-                        reason,
-                    )
-                    stats.quarantined[site] = (attempt, reason)
-                    break
-                stats.retries += 1
-                logger.warning(
-                    "retrying %r (attempt %d/%d): %s",
-                    item,
-                    attempt + 1,
-                    config.retries + 1,
-                    reason,
-                )
-                time.sleep(config.retry_backoff_s * (2 ** (attempt - 1)))
-                continue
-            computed[item] = record
-            if on_result is not None:
-                on_result(item, record)
-            break
-    return computed
 
 
 def run_campaign_jobs_with_manifest(
@@ -723,12 +591,10 @@ def run_campaign_jobs_with_manifest(
       hit (``source="store"``, before execution starts) and once per
       computed record as it completes (``source="run"``, in completion
       order).  Records are *also* returned at the end, in serial order.
-    * ``cancel`` — a ``threading.Event``-alike polled between experiments
-      (serial) and dispatches (supervised workers); when set, remaining
-      items are abandoned and only finished records are returned.
+    * ``cancel`` — a ``threading.Event``-alike polled between dispatches;
+      when set, remaining items are abandoned and only finished records
+      are returned.
     """
-    global _WORKER_JOBS, _WORKER_STATES, _WORKER_TRACER, _WORKER_COUNTERS
-    global _WORKER_USE_COMPILED
     from ..machine.compile import codegen_stats
     from ..obs.tracer import real_tracer
 
@@ -740,10 +606,6 @@ def run_campaign_jobs_with_manifest(
         tracer = config.make_tracer()
     tracer = real_tracer(tracer)
     counters = config.counters or tracer is not None
-    # Observability forces the instrumented interpreter; the compiled tier
-    # only engages on bare runs (records are bit-identical either way).
-    use_compiled = config.compiled and not counters
-    stats = SupervisionStats()
     with build_scope() as builds:
         try:
             # -- persistent store lookup, before anything is built -------
@@ -802,9 +664,22 @@ def run_campaign_jobs_with_manifest(
                     config.jobs,
                     fallback,
                 )
-            manifest = RunManifest(
-                mode="campaign",
-                requested_jobs=config.jobs,
+            if effective <= 1 and misses and config.exp_timeout_s > 0:
+                # Keep the missing process boundary visible: nothing can
+                # preempt an experiment that runs in this process.
+                reason += (
+                    f"; {config.exp_timeout_s:g}s experiment budget not "
+                    "enforced in-process"
+                )
+                logger.warning(
+                    "campaign runs in-process: the %gs per-experiment wall "
+                    "budget is not enforced",
+                    config.exp_timeout_s,
+                )
+            manifest = manifest_for(
+                "campaign",
+                config,
+                counters,
                 effective_jobs=effective,
                 worker_reason=reason,
                 serial_fallback=fallback,
@@ -812,62 +687,43 @@ def run_campaign_jobs_with_manifest(
                 trace_path=(
                     config.trace_path if (own_tracer and tracer is not None) else None
                 ),
-                counters_enabled=counters,
-                engine="compiled" if use_compiled else "interp",
-                timeout_factor=config.timeout_factor,
                 n_jobs=len(jobs),
                 n_items=len(items),
             )
+            run_item = functools.partial(
+                _run_item,
+                jobs,
+                states,
+                tracer=tracer,
+                counters=counters,
+                compiled=config.compiled,
+            )
+            supervisor = WorkerSupervisor(
+                multiprocessing.get_context("fork") if effective > 1 else None,
+                functools.partial(serve, run_item),
+                effective,
+                retries=config.retries,
+                exp_timeout_s=config.exp_timeout_s,
+                backoff_s=config.retry_backoff_s,
+                site_of=lambda item: item[:2],
+                on_result=on_result,
+                cancel=cancel,
+            )
             # Coordinator-process snapshot: forked workers' codegen stats do
-            # not cross the process boundary, so the deltas below cover
-            # serial runs and the coordinator's share of parallel ones
-            # (still enough to show the content-addressed cache working
-            # across a campaign).
+            # not cross the process boundary, so the deltas cover in-process
+            # runs and the coordinator's share of parallel ones (still
+            # enough to show the content-addressed cache working across a
+            # campaign).
             cg_before = codegen_stats()
             started = time.monotonic()
             _COMPILED.clear()
-            if effective <= 1:
-                try:
-                    computed = _run_serial_supervised(
-                        jobs,
-                        states,
-                        misses,
-                        config,
-                        tracer,
-                        counters,
-                        use_compiled,
-                        stats,
-                        on_result,
-                        cancel=cancel,
-                    )
-                finally:
-                    _COMPILED.clear()
-            else:
-                _WORKER_JOBS = jobs
-                _WORKER_STATES = states
-                _WORKER_TRACER = tracer
-                _WORKER_COUNTERS = counters
-                _WORKER_USE_COMPILED = use_compiled
-                try:
-                    supervisor = WorkerSupervisor(
-                        multiprocessing.get_context("fork"),
-                        _supervised_worker,
-                        effective,
-                        retries=config.retries,
-                        exp_timeout_s=config.exp_timeout_s,
-                        backoff_s=config.retry_backoff_s,
-                        site_of=lambda item: item[:2],
-                        on_result=on_result,
-                        cancel=cancel,
-                    )
-                    computed = supervisor.run(misses)
-                    stats = supervisor.stats
-                finally:
-                    _WORKER_JOBS = None
-                    _WORKER_STATES = None
-                    _WORKER_TRACER = None
-                    _WORKER_COUNTERS = False
-                    _WORKER_USE_COMPILED = False
+            try:
+                computed = supervisor.run(
+                    misses, inline=run_item if effective <= 1 else None
+                )
+            finally:
+                _COMPILED.clear()
+            stats = supervisor.stats
             cancelled = cancel is not None and cancel.is_set()
             records = []
             for item in items:
@@ -894,30 +750,68 @@ def run_campaign_jobs_with_manifest(
             if own_tracer and tracer is not None:
                 tracer.close()
 
-    manifest.wall_s = time.monotonic() - started
-    cg_after = codegen_stats()
-    manifest.codegen_hits = cg_after["hits"] - cg_before["hits"]
-    manifest.codegen_misses = cg_after["misses"] - cg_before["misses"]
-    manifest.n_records = len(records)
+    wall_s = time.monotonic() - started
     manifest.jobs = _job_manifests(jobs, states, cache_before)
     builds.add_to(manifest)
-    _record_outcome(manifest, jobs, records, stats, store)
+    _record_outcome(manifest, jobs, stats, store)
+    finish_manifest(manifest, config, records, wall_s, cg_before)
+    return records, manifest
+
+
+def manifest_for(mode: str, config: ExecConfig, counters: bool, **fields) -> RunManifest:
+    """A run manifest's configuration snapshot; ``fields`` set the rest.
+
+    ``counters`` says whether runs are observed (counters or a tracer).
+    Observed runs execute on the instrumented interpreter whatever
+    ``config.compiled`` asks (:class:`~repro.machine.interpreter.Machine`
+    makes that choice), so this is the one place that names the engine.
+    ``fields`` may override ``incremental`` where a run builds no campaign.
+    """
+    snapshot = {
+        "requested_jobs": config.jobs,
+        "incremental": config.incremental,
+        "counters_enabled": counters,
+        "engine": "compiled" if config.compiled and not counters else "interp",
+        "timeout_factor": config.timeout_factor,
+    }
+    snapshot.update(fields)
+    return RunManifest(mode=mode, **snapshot)
+
+
+def finish_manifest(
+    manifest: RunManifest,
+    config: ExecConfig,
+    records: List[ExperimentRecord],
+    wall_s: float,
+    codegen_before: Dict[str, int],
+) -> None:
+    """Outcome of a run → manifest: wall time, codegen traffic since
+    ``codegen_before``, record aggregates; then persist it if ``config``
+    names a manifest path."""
+    from ..machine.compile import codegen_stats
+    from ..obs.counters import total_counters
+
+    manifest.wall_s = wall_s
+    codegen = codegen_stats()
+    manifest.codegen_hits = codegen["hits"] - codegen_before["hits"]
+    manifest.codegen_misses = codegen["misses"] - codegen_before["misses"]
+    manifest.n_records = len(records)
+    for r in records:
+        s = r.result.status.value
+        manifest.status_counts[s] = manifest.status_counts.get(s, 0) + 1
+    manifest.counter_totals = total_counters(r.result.counters for r in records)
     out_path = config.effective_manifest_path()
     if out_path is not None:
         manifest.write(out_path)
-    return records, manifest
 
 
 def _record_outcome(
     manifest: RunManifest,
     jobs: List[CampaignJob],
-    records: List[ExperimentRecord],
     stats: SupervisionStats,
     store,
 ) -> None:
-    """Resilience events, store traffic and record aggregates → manifest."""
-    from ..obs.counters import total_counters
-
+    """Resilience events and store traffic → manifest."""
     manifest.retries = stats.retries
     manifest.worker_restarts = stats.worker_restarts
     manifest.exp_timeouts = stats.exp_timeouts
@@ -937,10 +831,6 @@ def _record_outcome(
         manifest.store_misses = store.stats.misses
         manifest.store_writes = store.stats.writes
         manifest.store_corrupt = store.stats.corrupt
-    for r in records:
-        s = r.result.status.value
-        manifest.status_counts[s] = manifest.status_counts.get(s, 0) + 1
-    manifest.counter_totals = total_counters(r.result.counters for r in records)
 
 
 def run_campaign_jobs(

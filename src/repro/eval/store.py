@@ -35,7 +35,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..machine.process import ExitStatus, ProcessResult
 from .builds import module_fingerprint  # noqa: F401 — part of the key API
@@ -114,6 +114,34 @@ def experiment_key(
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def tuple_key(job, si: int, variant_fp: str, ri: int, exec_fp: str) -> Tuple[str, Dict]:
+    """Content address of one campaign tuple and the key fields stored with it.
+
+    The tuple is (site ``si``, the variant fingerprinted ``variant_fp``,
+    run ``ri``) of a :class:`~repro.eval.parallel.CampaignJob`.  The
+    module fingerprint is the job's pristine digest: by the
+    factory-determinism contract the snapshot's text equals the text of
+    every module a worker would rebuild, so nothing is built to look a
+    tuple up.  The executor's store index and the service's dedupe table
+    both key tuples here, so a record either one executes is found under
+    the same key by the other.
+    """
+    fields = {
+        "workload": job.workload,
+        "kind": job.kind,
+        "percent": job.percent,
+        "site": job.sites[si].site_id,
+        "variant_fp": variant_fp,
+        "seed": job.seeds[ri],
+        "run": ri,
+        "argv": list(job.argv),
+        "timeout": job.timeout,
+        "exec_fp": exec_fp,
+        "module_sha": job.pristine_snapshot()[1],
+    }
+    return experiment_key(**fields), fields
 
 
 # -- record (de)serialization ---------------------------------------------

@@ -27,6 +27,11 @@ pool with individually supervised worker processes:
   campaign continues, and the decision is reported to the caller (the
   executor records it in the run manifest — degradation is never silent).
 
+``run(items, inline=fn)`` is the same loop with one worker inside the
+calling process: the same site queues, affinity, retry-to-front with
+backoff, quarantine, ``on_result`` and ``cancel``, but no pipes, no fork
+and no preemption, so the wall-clock budget is not enforced.
+
 Transport is a pair of unidirectional pipes **per worker** — never a
 shared ``multiprocessing.Queue``.  A shared queue serializes writers
 through a cross-process semaphore, and a worker SIGKILLed while its
@@ -50,6 +55,7 @@ executor's determinism guarantee both copies are identical.
 from __future__ import annotations
 
 import logging
+import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -92,15 +98,47 @@ class _Slot:
         self.site = None
 
 
+def serve(fn: Callable[[Hashable], object], wid: int, task_conn, result_conn) -> None:
+    """Worker entry point: reply ``fn(item)`` to each item until told to stop.
+
+    Receives one item at a time over its private task pipe (per-item
+    dispatch is what lets the supervisor attribute a crash or hang to a
+    specific item) and reports ``(wid, item, ok, payload)`` on its private
+    result pipe; an exception is reported as a failure message rather than
+    killing the worker, so the supervisor can decide between retry and
+    quarantine.  ``None`` or EOF on the task pipe means shut down.
+    """
+    while True:
+        try:
+            item = task_conn.recv()
+        except (EOFError, OSError):
+            return
+        if item is None:
+            return
+        try:
+            payload = fn(item)
+        except BaseException as exc:  # noqa: BLE001 — reported, not hidden
+            try:
+                result_conn.send((wid, item, False, _failure(exc)))
+            except Exception:
+                os._exit(1)
+            continue
+        result_conn.send((wid, item, True, payload))
+
+
+def _failure(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 class WorkerSupervisor:
     """Runs items on supervised workers; survives crashes and hangs.
 
-    ``worker_entry`` is a module-level function ``(worker_id, task_conn,
-    result_conn) -> None`` looping over ``task_conn.recv()`` until it
-    receives ``None`` (or EOF); it must ``result_conn.send((worker_id,
-    item, ok, payload))`` for every item.  Workers are started with the
-    ``fork`` method so they inherit the caller's prepared (copy-on-write)
-    build state.
+    ``worker_entry`` is a function ``(worker_id, task_conn, result_conn)
+    -> None`` looping over ``task_conn.recv()`` until it receives ``None``
+    (or EOF); it must ``result_conn.send((worker_id, item, ok, payload))``
+    for every item — ``functools.partial(serve, fn)`` is one.  Workers are
+    started from ``ctx`` (the ``fork`` method) so they inherit the caller's
+    prepared (copy-on-write) build state; the in-process mode uses neither.
     """
 
     def __init__(
@@ -169,12 +207,18 @@ class WorkerSupervisor:
 
     # -- the supervision loop ------------------------------------------
 
-    def run(self, items: Sequence[Hashable]) -> Dict[Hashable, object]:
+    def run(
+        self,
+        items: Sequence[Hashable],
+        inline: Optional[Callable[[Hashable], object]] = None,
+    ) -> Dict[Hashable, object]:
         """Execute ``items``; returns ``{item: payload}`` for survivors.
 
         Items whose site was quarantined are absent from the result (some
         may still be present if they completed before the quarantine
-        decision; the caller filters by ``stats.quarantined``).
+        decision; the caller filters by ``stats.quarantined``).  With
+        ``inline``, each item's payload is ``inline(item)``, computed in
+        the calling thread (see :meth:`_run_inline`).
         """
         #: site → its pending items in dispatch order (sites in order of
         #: first appearance; a site leaves when its queue empties).
@@ -186,12 +230,14 @@ class WorkerSupervisor:
         self._retry_at: Dict[Hashable, float] = {}
         self._attempts: Dict[Hashable, int] = {}
         self._results: Dict[Hashable, object] = {}
+        if inline is not None:
+            return self._run_inline(inline)
         self._slots: List[_Slot] = [
             self._spawn(wid) for wid in range(self.n_workers)
         ]
         try:
             while self._queues or any(s.item is not None for s in self._slots):
-                if self.cancel is not None and self.cancel.is_set():
+                if self._cancelled():
                     break
                 self._dispatch()
                 ready = _conn_wait(
@@ -215,6 +261,33 @@ class WorkerSupervisor:
             return self._results
         finally:
             self._shutdown()
+
+    def _run_inline(self, fn: Callable[[Hashable], object]) -> Dict[Hashable, object]:
+        """One worker in the calling thread, one item at a time.
+
+        Nothing can preempt an item without a process boundary, so
+        ``exp_timeout_s`` is not enforced.  Only ``Exception`` counts as an
+        item failure: ``KeyboardInterrupt`` still stops the campaign.  While
+        every pending item waits out its backoff the loop sleeps at most
+        :data:`HEARTBEAT_S` at a time, so ``cancel`` is still polled.
+        """
+        slot = _Slot(0)
+        self._slots = [slot]
+        while self._queues and not self._cancelled():
+            item = self._take(slot, time.monotonic())
+            if item is None:
+                time.sleep(self._next_wait())
+                continue
+            slot.item = item
+            try:
+                msg = (slot.wid, item, True, fn(item))
+            except Exception as exc:
+                msg = (slot.wid, item, False, _failure(exc))
+            self._handle(msg)
+        return self._results
+
+    def _cancelled(self) -> bool:
+        return self.cancel is not None and self.cancel.is_set()
 
     def _handle(self, msg) -> None:
         wid, item, ok, payload = msg
@@ -266,7 +339,7 @@ class WorkerSupervisor:
                 return msgs
 
     def _dispatch(self) -> None:
-        if self.cancel is not None and self.cancel.is_set():
+        if self._cancelled():
             return
         now = time.monotonic()
         for slot in self._slots:

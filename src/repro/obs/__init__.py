@@ -1,8 +1,9 @@
 """Structured observability: tracing, counters, run manifests.
 
 Zero-cost when disabled — a machine without a tracer and with counters off
-runs the identical pre-observability interpreter loop (guarded by the
-``benchmarks/perf_interp.py --smoke`` throughput gate).  When enabled:
+runs the identical pre-observability interpreter loop (asserted
+structurally by ``benchmarks/perf_interp.py --smoke`` and
+``tests/test_obs_trace.py::TestFastPath``).  When enabled:
 
 * :class:`Tracer` backends receive typed events (run boundaries, fault
   activations, DPMR comparisons, replica syncs, heap churn) with cycle

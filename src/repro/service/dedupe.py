@@ -1,11 +1,11 @@
 """Cross-request deduplication keyed by the store's content address.
 
 The daemon's dedupe key for an experiment tuple *is* the persistent
-store's :func:`~repro.eval.store.experiment_key` — a pure function of the
-tuple's inputs, so it works identically with or without a store
-configured, and a tuple deduplicated in memory today is the same entry a
-store-warm resume would hit tomorrow.  Three tables, all mutated only on
-the daemon's event loop:
+store's content address (:func:`~repro.eval.store.tuple_key`) — a pure
+function of the tuple's inputs, so it works identically with or without a
+store configured, and a tuple deduplicated in memory today is the same
+entry a store-warm resume would hit tomorrow.  Three tables, all mutated
+only on the daemon's event loop:
 
 * ``completed`` — records finished during this daemon's lifetime (runs
   and store hits promoted at admission); later requests are served
@@ -28,37 +28,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..eval.experiment import ExperimentRecord
 from ..eval.parallel import CampaignJob
-from ..eval.store import experiment_key
-
-
-def tuple_key(
-    job: CampaignJob,
-    si: int,
-    variant_fp: str,
-    ri: int,
-    exec_fp: str,
-    module_sha: str,
-) -> Tuple[str, Dict]:
-    """Content address of one ``(job, site, variant, run)`` tuple.
-
-    Field-for-field identical to the executor's store indexing
-    (:func:`repro.eval.parallel._store_index`), so a record the daemon
-    executes is found under the same key by any later batch run.
-    """
-    fields = {
-        "workload": job.workload,
-        "kind": job.kind,
-        "percent": job.percent,
-        "site": job.sites[si].site_id,
-        "variant_fp": variant_fp,
-        "seed": job.seeds[ri],
-        "run": ri,
-        "argv": list(job.argv),
-        "timeout": job.timeout,
-        "exec_fp": exec_fp,
-        "module_sha": module_sha,
-    }
-    return experiment_key(**fields), fields
 
 
 @dataclass

@@ -59,13 +59,14 @@ from ..eval.parallel import (
     CampaignJob,
     base_transform,
     job_for_harness,
+    manifest_for,
     run_campaign_jobs_with_manifest,
 )
-from ..eval.store import exec_fingerprint, variant_fingerprint
+from ..eval.store import exec_fingerprint, tuple_key, variant_fingerprint
 from ..eval.variants import resolve_variants
 from ..obs.manifest import RunManifest
 from . import protocol
-from .dedupe import DedupeTable, TupleRef, tuple_key
+from .dedupe import DedupeTable, TupleRef
 from .projections import EventLog, Projections
 
 logger = logging.getLogger("repro.service.scheduler")
@@ -272,12 +273,7 @@ class CampaignScheduler:
                     for vi in vis:
                         for ri in range(len(job.seeds)):
                             key, _ = tuple_key(
-                                job,
-                                si,
-                                variant_fps[vi],
-                                ri,
-                                self.exec_fp,
-                                job.pristine_digest,
+                                job, si, variant_fps[vi], ri, self.exec_fp
                             )
                             refs.append(TupleRef(job, si, vi, ri, key))
         store_records: Dict[str, ExperimentRecord] = {}
@@ -481,20 +477,16 @@ class CampaignScheduler:
         if state.manifest is not None:
             return
         wall = time.monotonic() - state.started
-        observing = self.config.observing
-        manifest = RunManifest(
-            mode="service",
-            requested_jobs=self.config.jobs,
+        manifest = manifest_for(
+            "service",
+            self.config,
+            self.config.observing,
             effective_jobs=1,
             worker_reason=(
                 "empty_campaign"
                 if state.total == 0
                 else "shared service pool (per-batch worker decisions)"
             ),
-            incremental=True,
-            counters_enabled=observing,
-            engine="compiled" if (self.config.compiled and not observing) else "interp",
-            timeout_factor=self.config.timeout_factor,
             n_jobs=state.n_jobs,
             n_items=state.total,
             n_records=state.total - state.errors,

@@ -13,9 +13,11 @@ File latches (``O_CREAT | O_EXCL``) make a chaos action fire exactly
 once across worker respawns and retries.
 """
 
+import logging
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from unittest import mock
 
@@ -26,6 +28,7 @@ from repro.eval import (
     ExecConfig,
     WorkloadHarness,
     diversity_variants,
+    job_for_harness,
     run,
     stdapp_variant,
 )
@@ -131,6 +134,7 @@ class TestWorkerCrash:
         assert m.exp_timeouts >= 1
         assert m.worker_restarts >= 1
         assert not m.quarantined
+        assert "not enforced" not in m.worker_reason
         assert [r.signature() for r in res.records] == serial_baseline
 
 
@@ -180,6 +184,53 @@ class TestQuarantine:
         assert len(m.quarantined) == 1
         assert m.quarantined[0].attempts == 4
         assert m.retries == 3
+
+
+class TestInProcess:
+    """A serial campaign is the supervisor's loop with one in-process worker."""
+
+    def test_cancel_during_retry_backoff_returns_promptly(self, harness, variants):
+        cancel = threading.Event()
+        first = (0, 0, 0, 0)
+        fired = []
+
+        def chaos(item):
+            if item == first and not fired:
+                fired.append(item)
+                cancel.set()
+                raise RuntimeError("transient infrastructure failure")
+
+        job = job_for_harness(harness, variants, KIND)
+        config = ExecConfig(jobs=1, retries=2, retry_backoff_s=8.0)
+        started = time.monotonic()
+        with mock.patch.object(par, "_CHAOS_HOOK", chaos):
+            records, m = par.run_campaign_jobs_with_manifest(
+                [job], config=config, cancel=cancel
+            )
+        # Well inside the 8 s backoff: the loop polls cancel while it waits.
+        assert time.monotonic() - started < 4.0
+        assert m.effective_jobs == 1
+        assert m.retries == 1
+        assert not m.quarantined
+        site = job.sites[first[1]].site_id
+        variant = job.variants[first[2]].name
+        assert not any(r.site == site and r.variant == variant for r in records)
+
+    def test_unenforced_budget_is_visible(
+        self, harness, variants, serial_baseline, caplog
+    ):
+        config = ExecConfig(jobs=1, exp_timeout_s=30.0)
+        with caplog.at_level(logging.WARNING, logger="repro.eval.parallel"):
+            res = run(harness, variants, kind=KIND, config=config)
+        m = res.manifest
+        assert m.effective_jobs == 1
+        assert m.worker_reason == (
+            "serial requested (jobs=1); 30s experiment budget not enforced "
+            "in-process"
+        )
+        warnings = [r for r in caplog.records if "not enforced" in r.message]
+        assert len(warnings) == 1
+        assert [r.signature() for r in res.records] == serial_baseline
 
 
 def _interrupted_campaign_child(store_dir, kind):

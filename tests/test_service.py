@@ -328,6 +328,28 @@ class TestServiceEndToEnd:
             record_signature(r) for r in solo.records
         ]
 
+    def test_in_process_run_is_served_from_the_daemons_store(self, tmp_path):
+        """The daemon and ``run(request)`` key tuples identically: a store
+        the daemon wrote serves an in-process run entirely."""
+        config = ExecConfig(store_path=str(tmp_path / "store"))
+        with ServiceDaemon(config) as daemon:
+            with ServiceClient(port=daemon.port) as client:
+                served = client.submit(REQUEST)
+        assert served.manifest.store_misses == len(served.records) > 0
+        res = run(REQUEST, config=config)
+        assert res.manifest.store_misses == 0
+        assert res.manifest.store_hits == len(served.records)
+        assert [record_signature(r) for r in res.records] == [
+            record_signature(r) for r in served.records
+        ]
+
+    def test_manifest_reports_the_daemons_build_path(self):
+        with ServiceDaemon(ExecConfig(incremental=False)) as daemon:
+            with ServiceClient(port=daemon.port) as client:
+                res = client.submit(REQUEST)
+        assert len(res.records) > 0
+        assert res.manifest.incremental is False
+
     def test_empty_campaign_reason(self):
         empty = CampaignRequest(
             workloads=("mcf",), kinds=(KIND,), variants=("stdapp",), max_sites=0
