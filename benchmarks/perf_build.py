@@ -16,10 +16,13 @@ time:
   from the content-addressed memo (repeat passes, multi-seed campaigns,
   and the parallel executor re-using coordinator state).
 
-Every timed configuration is also checked for byte-identical transformed
-modules against the full-rebuild path, and ``--smoke`` runs that identity
-check alone (small campaign, both fault kinds, exits non-zero on any
-divergence) so CI can gate on it cheaply.
+The timed passes drive :class:`IncrementalDpmrCompiler` directly.  The
+identity check runs the path campaigns run: every campaign build
+(``parallel.site_build``) must print byte-identically to the full-rebuild
+oracle (``parallel.reference_build``) of the same (site, DPMR variant), and
+campaign records must match on both paths.  ``--smoke`` runs that check
+alone (small campaign, both fault kinds, exits non-zero on any divergence)
+so CI can gate on it cheaply.
 
 Usage::
 
@@ -36,15 +39,16 @@ import time
 from pathlib import Path
 
 from repro.apps import WORKLOAD_ORDER, app_factory
+from repro.core import IncrementalDpmrCompiler
 from repro.eval import (
     ExecConfig,
     WorkloadHarness,
     diversity_variants,
     job_for_harness,
-    prepare_build_states,
     run_campaign_jobs,
     stdapp_variant,
 )
+from repro.eval.parallel import base_transform, reference_build, site_build
 from repro.faultinject import HEAP_ARRAY_RESIZE, IMMEDIATE_FREE
 from repro.faultinject.campaign import Campaign
 from repro.faultinject.injector import inject
@@ -79,14 +83,20 @@ def bench_build_paths() -> dict:
 
     def cold_pass():
         for app, camp in campaigns:
-            incs = [v.incremental_compiler(camp.pristine) for v in variants]
+            incs = [
+                IncrementalDpmrCompiler(v.transform_compiler(), camp.pristine)
+                for v in variants
+            ]
             for v, ic in zip(variants, incs):
                 for s in camp.sites:
                     ic.compile(camp.faulty_module(s))
 
     # Warm: same compilers kept across passes → content-hash memo hits.
     warm_incs = [
-        [v.incremental_compiler(camp.pristine) for v in variants]
+        [
+            IncrementalDpmrCompiler(v.transform_compiler(), camp.pristine)
+            for v in variants
+        ]
         for _, camp in campaigns
     ]
 
@@ -140,31 +150,30 @@ def bench_build_paths() -> dict:
 
 
 def check_identity(apps, kinds, variants) -> list:
-    """Byte-compare incremental vs full-rebuild transformed modules and
-    campaign records; returns a list of divergence descriptions."""
+    """Byte-compare campaign builds against the full-rebuild oracle, and
+    campaign records on both paths; returns a list of divergence
+    descriptions."""
     failures = []
     for app in apps:
         harness = WorkloadHarness(app, app_factory(app, 1))
         for kind in kinds:
-            camp = Campaign(harness.factory, kind)
-            if not camp.sites:
+            job = job_for_harness(harness, variants, kind)
+            if not job.sites:
                 continue
             # module-text identity, per (variant, site)
             for v in variants:
                 if not v.dpmr:
                     continue
-                ic = v.incremental_compiler(camp.pristine)
-                for s in camp.sites:
-                    full = v.compile(inject(harness.factory(), s, camp.percent))
-                    fast = v.compile_incremental(ic, camp.faulty_module(s))
-                    if format_module(full._build.module) != format_module(
-                        fast._build.module
-                    ):
+                for si, s in enumerate(job.sites):
+                    _, fast = site_build(job, si, v)
+                    full = reference_build(job, si, v)
+                    if format_module(full._build.module) != format_module(fast.module):
                         failures.append(f"module text: {app}/{kind}/{v.name}/{s.site_id}")
-                if ic.stats.hits + ic.stats.misses == 0 or ic.stats.full_rebuilds:
+                base = base_transform(job.pristine, job.pristine_digest, v)
+                stats = base.compiler.stats
+                if stats.hits + stats.misses == 0 or stats.full_rebuilds:
                     failures.append(f"cache never engaged: {app}/{kind}/{v.name}")
             # record identity through the executor
-            job = job_for_harness(harness, variants, kind)
             full = run_campaign_jobs([job], config=ExecConfig(incremental=False))
             inc = run_campaign_jobs([job], config=ExecConfig(incremental=True))
             sig = lambda r: (
@@ -193,7 +202,7 @@ def smoke() -> None:
         for f in failures:
             print(f"DIVERGED: {f}", file=sys.stderr)
         sys.exit(1)
-    print("smoke OK: incremental builds byte-identical to full rebuilds")
+    print("smoke OK: campaign builds byte-identical to full rebuilds")
 
 
 def main() -> None:

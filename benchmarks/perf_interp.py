@@ -13,10 +13,11 @@ Measures the two quantities the perf work of this repo is judged on:
   rebuilds, with record-level identity checks between all of them.  Each
   configuration is timed best-of-``CAMPAIGN_REPS`` (the container's
   wall-clock is noisy); PR 1's recorded ``serial_s`` was a single shot.
-  The incremental path retains finished builds on its per-job
-  ``JobBuildState``, so its best-of-N is the steady state a re-run campaign
-  sees: later reps pay interpreter time only.  ``serial_full_rebuild_s``
-  is the cold build-everything-per-site cost for comparison.
+  The incremental path keeps finished builds in the process-wide build
+  table (``repro.eval.builds``), so its best-of-N is the steady state a
+  re-run campaign sees: later reps pay interpreter time only.
+  ``serial_full_rebuild_s`` is the uncached full-rebuild oracle
+  (``parallel.reference_build``, one whole build per tuple) for comparison.
 
 The ``campaign_compiled`` section times the same campaign under the
 *default* engine (the compiled tier, since PR 7) against an explicit

@@ -137,10 +137,3 @@ class DpmrCompiler:
         if self.verify:
             verify_module(out)
         return DpmrBuild(out, self.design, self.policy, self.diversity)
-
-    def incremental(self, pristine: Module) -> "IncrementalDpmrCompiler":
-        """An incremental recompiler caching this configuration's transform
-        of ``pristine`` (see :mod:`repro.core.incremental`)."""
-        from .incremental import IncrementalDpmrCompiler
-
-        return IncrementalDpmrCompiler(self, pristine)

@@ -19,12 +19,9 @@ from .config import DEFAULT_TIMEOUT_FACTOR, ExecConfig
 from .experiment import ExperimentRecord, TIMEOUT_FACTOR, WorkloadHarness
 from .parallel import (
     CampaignJob,
-    JobBuildState,
     default_jobs,
     effective_workers,
-    incremental_default,
     job_for_harness,
-    prepare_build_states,
     run_campaign_jobs,
     run_campaign_jobs_with_manifest,
 )
@@ -75,7 +72,6 @@ __all__ = [
     "DEFAULT_TIMEOUT_FACTOR",
     "ExecConfig",
     "ExperimentRecord",
-    "JobBuildState",
     "ResultStore",
     "StoreStats",
     "SupervisionStats",
@@ -97,7 +93,6 @@ __all__ = [
     "diversity_variants",
     "effective_workers",
     "experiment_key",
-    "incremental_default",
     "job_for_harness",
     "latency_table",
     "module_fingerprint",
@@ -105,7 +100,6 @@ __all__ = [
     "mean_time_to_detection",
     "overhead_table",
     "policy_variants",
-    "prepare_build_states",
     "request_jobs",
     "resolve_variants",
     "run",

@@ -226,6 +226,12 @@ class BuildTable:
                         del self._gates[key]
         return value
 
+    def peek(self, key: Tuple[Hashable, ...]):
+        """The entry under ``key``, or None; counts nothing and leaves its
+        recency as it is."""
+        with self._lock:
+            return self._entries.get(key)
+
     def clear(self) -> None:
         """Drop every entry (test and benchmark isolation only)."""
         with self._lock:

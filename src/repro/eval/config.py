@@ -6,11 +6,12 @@ Knobs (all optional):
 
 ========================  =====================================================
 ``DPMR_JOBS``             worker count for the parallel executor (default 1)
-``DPMR_INCREMENTAL``      ``0``/``false`` disables incremental builds
+``DPMR_INCREMENTAL``      ``0``/``false`` runs the uncached full-rebuild oracle
 ``DPMR_TRACE``            path of a JSONL trace file (enables tracing)
 ``DPMR_TRACE_EVENTS``     comma-separated event kinds to keep (default: all)
 ``DPMR_COUNTERS``         ``1``/``true`` enables machine counters sans trace
-``DPMR_TIMEOUT_FACTOR``   timeout multiple of golden running time (default 20)
+``DPMR_TIMEOUT_FACTOR``   timeout multiple of golden running time (default 20;
+                          at least 1)
 ``DPMR_MANIFEST``         path for the run manifest (default: next to trace)
 ``DPMR_STORE``            directory of the persistent result store (off by
                           default; enables campaign memoization and resume)
@@ -104,7 +105,9 @@ class ExecConfig:
 
     #: requested worker count (the executor may use fewer; see the manifest).
     jobs: int = 1
-    #: incremental campaign builds (pristine snapshot + function-level cache).
+    #: campaign builds through the build table (``parallel.site_build``);
+    #: False runs the uncached full-rebuild oracle
+    #: (``parallel.reference_build``) for every tuple.
     incremental: bool = True
     #: JSONL trace file path; ``None`` disables tracing.
     trace_path: Optional[str] = None
@@ -154,15 +157,22 @@ class ExecConfig:
             trace_events = tuple(
                 k.strip() for k in raw_events.split(",") if k.strip()
             )
+        timeout_factor = _parse_int(
+            env, TIMEOUT_FACTOR_ENV_VAR, DEFAULT_TIMEOUT_FACTOR
+        )
+        if timeout_factor < 1:
+            # The harness would clamp the budget to its cycle floor, which
+            # can lie below the golden run itself: every run would time out.
+            raise ValueError(
+                f"{TIMEOUT_FACTOR_ENV_VAR} must be at least 1, got {timeout_factor}"
+            )
         return cls(
             jobs=max(1, _parse_int(env, JOBS_ENV_VAR, 1)),
             incremental=_parse_flag(env, INCREMENTAL_ENV_VAR, True),
             trace_path=trace_path,
             trace_events=trace_events,
             counters=_parse_flag(env, COUNTERS_ENV_VAR, False),
-            timeout_factor=_parse_int(
-                env, TIMEOUT_FACTOR_ENV_VAR, DEFAULT_TIMEOUT_FACTOR
-            ),
+            timeout_factor=timeout_factor,
             manifest_path=env.get(MANIFEST_ENV_VAR, "").strip() or None,
             store_path=env.get(STORE_ENV_VAR, "").strip() or None,
             retries=max(0, _parse_int(env, RETRIES_ENV_VAR, DEFAULT_RETRIES)),

@@ -22,21 +22,21 @@ bit-identical* to a serial run:
 Experiment builds go through the **incremental recompilation layer**
 (:mod:`repro.core.incremental`) by default: each DPMR transform
 configuration (design and comparison policy) transforms the pristine
-snapshot once, and a faulty build is then a copy-on-write module clone
-plus a re-transform of the single function containing the fault.  Every
-build product — pristine snapshot, site list, base transform, finished
-faulty build — lives in the process-wide build table
-(:mod:`repro.eval.builds`) under a key made of its content, so jobs that
-differ only in seeds, variant list or order, or fault kind, variants that
-differ only in diversity, and repeated campaigns over fresh job objects,
-share every build they have in common; each tuple binds its variant's
-name and diversity to the shared build (:meth:`Variant.bind`).
+snapshot once, and a faulty build (:func:`site_build`) is then a
+copy-on-write module clone plus a re-transform of the single function
+containing the fault.  Every build product — pristine snapshot, site
+list, base transform, finished faulty build — lives in the process-wide
+build table (:mod:`repro.eval.builds`) under a key made of its content,
+so jobs that differ only in seeds, variant list or order, or fault kind,
+variants that differ only in diversity, and repeated campaigns over fresh
+job objects, share every build they have in common; each tuple binds its
+variant's name and diversity to the shared build (:meth:`Variant.bind`).
 The base transforms a campaign needs are fetched in the coordinating
 process *before* the pool forks, so workers share them (copy-on-write
-pages) rather than rebuilding them; records are bit-identical to the
-full-rebuild path (set ``DPMR_INCREMENTAL=0`` or pass
-``incremental=False`` to use it), whose builds workers memoise in a small
-per-call LRU keyed by ``(workload, variant, site)``.
+pages) rather than rebuilding them.  The full-rebuild oracle,
+:func:`reference_build` (``DPMR_INCREMENTAL=0`` or ``incremental=False``),
+re-runs the factory and transforms the whole faulty module for every
+tuple, uncached; records are bit-identical on both paths.
 
 The executor is opt-in: ``DPMR_JOBS=N`` in the environment (or an explicit
 ``jobs=`` argument) enables it; unset/``1`` runs the same code path
@@ -70,7 +70,6 @@ import functools
 import logging
 import multiprocessing
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -100,11 +99,6 @@ from .variants import CompiledVariant, Variant
 
 logger = logging.getLogger("repro.eval.parallel")
 
-#: Full-rebuild variants cached per worker; small, since consecutive work
-#: items share the same (site, variant) and only chunk boundaries ever look
-#: back.
-_COMPILED_CACHE_SIZE = 32
-
 #: Forking a worker is only worth it if it gets at least this many
 #: experiment tuples; below that, fork + import + IPC overhead dominates
 #: (visible as parallel_s > serial_s on small campaigns).
@@ -114,11 +108,6 @@ MIN_ITEMS_PER_WORKER = 16
 def default_jobs() -> int:
     """Worker count from ``DPMR_JOBS`` (defaults to serial execution)."""
     return ExecConfig.from_env().jobs
-
-
-def incremental_default() -> bool:
-    """Whether the incremental build path is enabled (``DPMR_INCREMENTAL``)."""
-    return ExecConfig.from_env().incremental
 
 
 def effective_workers(n_items: int, processes: int) -> int:
@@ -167,23 +156,6 @@ class CampaignJob:
             module = self.pristine if self.pristine is not None else self.factory()
             self.pristine, self.pristine_digest = canonical_pristine(module)
         return self.pristine, self.pristine_digest
-
-    def build_state(self) -> "JobBuildState":
-        """This job's view onto the build table.
-
-        Holds the pristine snapshot plus each variant's base transform
-        (function-level cache) — the only full-program build work of a
-        campaign, done once per (content, transform configuration) in this
-        process, whatever job or variant asks for it.  Fetched in the
-        coordinator before forking, so workers inherit the warm transforms.
-        """
-        pristine, digest = self.pristine_snapshot()
-        return JobBuildState(
-            pristine=pristine,
-            digest=digest,
-            transform_keys=[v.transform_key() for v in self.variants],
-            bases=[base_transform(pristine, digest, v) for v in self.variants],
-        )
 
 
 def job_for_harness(
@@ -253,66 +225,8 @@ def base_transform(
 #: without DPMR), before a variant's name and diversity are bound to it.
 SiteBuild = Tuple[Module, Optional[DpmrBuild]]
 
-
-@dataclass
-class JobBuildState:
-    """One job's view onto the build table, shared by coordinator and workers.
-
-    The pristine snapshot and its digest, plus each variant's transform
-    key and base transform (``None`` for non-DPMR variants; variants that
-    share a key share the transform).  Finished faulty builds are not
-    held here: they are table entries keyed by content (see
-    :meth:`site_key`).  The ``cache_*`` fields count the function-level
-    transform cache traffic of the site builds made through this view.
-    """
-
-    pristine: Module
-    digest: str
-    transform_keys: List[Optional[str]]
-    bases: List[Optional[BaseTransform]]
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_full_rebuilds: int = 0
-
-    @property
-    def compilers(self) -> List[Optional[IncrementalDpmrCompiler]]:
-        """The base transforms' incremental compilers (None: no DPMR)."""
-        return [b.compiler if b is not None else None for b in self.bases]
-
-    def site_key(self, job: CampaignJob, si: int, vi: int) -> Tuple:
-        """Build-table key of the finished build of (site ``si``, variant
-        ``vi``'s transform)."""
-        return (
-            "site",
-            self.digest,
-            job.kind,
-            job.percent,
-            job.sites[si].site_id,
-            self.transform_keys[vi],
-        )
-
-    def cache_stats(self) -> Tuple[int, int, int]:
-        return self.cache_hits, self.cache_misses, self.cache_full_rebuilds
-
-
-def prepare_build_states(jobs: Sequence[CampaignJob]) -> List[JobBuildState]:
-    """Each job's view onto the build table (see :meth:`CampaignJob.build_state`).
-
-    This is the only place the campaign pays full-program build cost: one
-    whole-module DPMR transform per (content, transform configuration) the
-    table does not hold yet.
-    """
-    return [job.build_state() for job in jobs]
-
-
 # An experiment tuple: (job index, site index, variant index, run index).
 _Item = Tuple[int, int, int, int]
-# Per-job build views of one campaign (None: incremental builds off, or,
-# per job, no tuple of that job left to run).
-_States = Optional[List[Optional[JobBuildState]]]
-
-# Full-rebuild builds of the running campaign (emptied before workers fork).
-_COMPILED: "OrderedDict[Tuple[int, int, int], CompiledVariant]" = OrderedDict()
 
 #: Test-only chaos hook: a callable invoked with each experiment tuple at
 #: the top of :func:`_run_item` (inherited by forked workers).  The chaos
@@ -321,88 +235,74 @@ _COMPILED: "OrderedDict[Tuple[int, int, int], CompiledVariant]" = OrderedDict()
 _CHAOS_HOOK = None
 
 
-def _compiled_for(
-    jobs: List[CampaignJob],
-    states: _States,
-    item: _Item,
-) -> CompiledVariant:
-    """Compile (or fetch) the faulty build for one experiment tuple.
+def site_build(job: CampaignJob, si: int, variant: Variant) -> SiteBuild:
+    """The finished faulty build of site ``si`` under ``variant``'s
+    transform: the build table's ``site`` entry, built at most once per
+    content in this process.
 
-    With ``states`` (the incremental path) the build is a build-table
-    entry keyed by content (:meth:`JobBuildState.site_key`): built at most
-    once per process — a copy-on-write clone of the pristine snapshot plus
-    a single-function re-transform — and served to every later campaign,
-    job, request or variant with the same content; the tuple's variant
-    binds its name and diversity to it.  Without, it is a full
-    factory-rebuild and whole-module transform, memoised per worker only
-    for the current executor call.
+    The build clones the module the base transform was built on, so every
+    unchanged function is recognized by identity, injects the fault, and
+    re-transforms the changed function under the base entry's lock (its
+    policy object and memo are not thread-safe).  The base is read with an
+    uncounted lookup, since the campaign counted it when it fetched it
+    before forking; only a base missing from the table is fetched (and
+    counted) here.
     """
-    ji, si, vi, _ = item
-    job = jobs[ji]
-    if states is not None:
-        state = states[ji]
-        faulty, build = build_table().get(
-            state.site_key(job, si, vi), lambda: _build_site(job, state, si, vi)
+    pristine, digest = job.pristine_snapshot()
+    site = job.sites[si]
+    key = variant.transform_key()
+
+    def build() -> SiteBuild:
+        base = None
+        if key is not None:
+            base = build_table().peek(("base", digest, key))
+            if base is None:  # no campaign fetched it, or it was evicted since
+                base = base_transform(pristine, digest, variant)
+        source = base.compiler.pristine if base is not None else pristine
+        faulty = inject(
+            source.clone(mutable_functions=(site.function,)), site, job.percent
         )
-        return job.variants[vi].bind(faulty, build)
-    key = (ji, si, vi)
-    compiled = _COMPILED.get(key)
-    if compiled is not None:
-        _COMPILED.move_to_end(key)
-        return compiled
-    site = job.sites[si]
-    faulty = inject(job.factory(), site, job.percent)
-    compiled = job.variants[vi].compile(faulty)
-    _COMPILED[key] = compiled
-    if len(_COMPILED) > _COMPILED_CACHE_SIZE:
-        _COMPILED.popitem(last=False)
-    return compiled
+        if base is None:
+            return faulty, None
+        with base.lock:
+            return faulty, base.compiler.compile(faulty)
+
+    return build_table().get(
+        ("site", digest, job.kind, job.percent, site.site_id, key), build
+    )
 
 
-def _build_site(job: CampaignJob, state: JobBuildState, si: int, vi: int) -> SiteBuild:
-    """One faulty build through variant ``vi``'s base transform.
-
-    The clone comes from the module the base transform was built on, so
-    every unchanged function is recognized by identity.  The transform
-    itself runs under the base entry's lock: its policy object and memo
-    are not thread-safe.
-    """
-    site = job.sites[si]
-    base = state.bases[vi]
-    pristine = base.compiler.pristine if base is not None else state.pristine
-    clone = pristine.clone(mutable_functions=(site.function,))
-    faulty = inject(clone, site, job.percent)
-    if base is None:
-        return faulty, None
-    with base.lock:
-        stats = base.compiler.stats
-        full_before = stats.full_rebuilds
-        build = base.compiler.compile(faulty)
-        state.cache_full_rebuilds += stats.full_rebuilds - full_before
-    state.cache_hits += build.cache_hits
-    state.cache_misses += build.cache_misses
-    return faulty, build
+def reference_build(job: CampaignJob, si: int, variant: Variant) -> CompiledVariant:
+    """The full-rebuild oracle for site ``si`` under ``variant``: a fresh
+    factory build, fault injection and a whole-module transform, uncached."""
+    return variant.compile(inject(job.factory(), job.sites[si], job.percent))
 
 
 def _run_item(
     jobs: List[CampaignJob],
-    states: _States,
     item: _Item,
     tracer=None,
     counters: bool = False,
     compiled: bool = False,
+    incremental: bool = True,
 ) -> ExperimentRecord:
-    """One experiment tuple's record.  A campaign binds everything but
-    ``item`` (:func:`functools.partial`); forked workers inherit that
-    callable, and the in-process mode calls it directly."""
+    """One experiment tuple's record, built by :func:`site_build` or, with
+    ``incremental`` off, by the :func:`reference_build` oracle.  A campaign
+    binds everything but ``item`` (:func:`functools.partial`); forked
+    workers inherit that callable, and the in-process mode calls it
+    directly."""
     ji, si, vi, ri = item
     hook = _CHAOS_HOOK
     if hook is not None:
         hook(item)
     job = jobs[ji]
-    variant = job.variants[vi].name
+    v = job.variants[vi]
+    if incremental:
+        build = v.bind(*site_build(job, si, v))
+    else:
+        build = reference_build(job, si, v)
+    variant = v.name
     site = job.sites[si].site_id
-    build = _compiled_for(jobs, states, item)
     trace_meta = None
     if tracer is not None:
         trace_meta = {
@@ -481,17 +381,10 @@ def _worker_decision(
     return effective, reason, None
 
 
-def _job_manifests(
-    jobs: Sequence[CampaignJob],
-    states: _States,
-    before: Sequence[Tuple[int, int, int]] = (),
-) -> List[JobManifest]:
-    """Per-job telemetry; cache stats are deltas since ``before`` (each
-    view's :meth:`JobBuildState.cache_stats` at campaign start)."""
-    table = build_table()
-    out: List[JobManifest] = []
-    for ji, job in enumerate(jobs):
-        jm = JobManifest(
+def _job_manifests(jobs: Sequence[CampaignJob]) -> List[JobManifest]:
+    """Per-job shape: workload, fault kind, sites, variants and seeds."""
+    return [
+        JobManifest(
             workload=job.workload,
             kind=job.kind,
             n_sites=len(job.sites),
@@ -499,23 +392,8 @@ def _job_manifests(
             n_seeds=len(job.seeds),
             sites=[s.site_id for s in job.sites],
         )
-        state = states[ji] if states is not None else None
-        if state is not None:
-            now = state.cache_stats()
-            then = before[ji] if before else (0, 0, 0)
-            jm.cache_hits = now[0] - then[0]
-            jm.cache_misses = now[1] - then[1]
-            jm.cache_full_rebuilds = now[2] - then[2]
-            # the view's variants: the service may have appended more to
-            # the job since the view was made
-            keys = {
-                state.site_key(job, si, vi)
-                for si in range(len(job.sites))
-                for vi in range(len(state.transform_keys))
-            }
-            jm.builds_cached = sum(key in table for key in keys)
-        out.append(jm)
-    return out
+        for job in jobs
+    ]
 
 
 def _store_index(
@@ -548,14 +426,6 @@ def _store_index(
     return cached, keys, key_fields
 
 
-def _build_states_for(
-    jobs: Sequence[CampaignJob], items: Sequence[_Item]
-) -> List[Optional[JobBuildState]]:
-    """Build-table views for the jobs ``items`` touch (None elsewhere)."""
-    needed = {item[0] for item in items}
-    return [job.build_state() if ji in needed else None for ji, job in enumerate(jobs)]
-
-
 def run_campaign_jobs_with_manifest(
     jobs: Sequence[CampaignJob],
     config: Optional[ExecConfig] = None,
@@ -567,8 +437,8 @@ def run_campaign_jobs_with_manifest(
     """Run every experiment of every job; records in serial order + manifest.
 
     The manifest captures every executor decision (requested vs. effective
-    worker count and why, serial-fallback reason, incremental cache
-    behaviour per job) plus campaign aggregates (status counts, machine
+    worker count and why, serial-fallback reason, build path) plus the
+    shape of every job and campaign aggregates (status counts, machine
     counter totals when observability is on) and every resilience event
     (store hits/misses/corruption, retries, worker restarts, quarantined
     sites), and the campaign's build-table traffic (golden runs, base
@@ -630,14 +500,14 @@ def run_campaign_jobs_with_manifest(
                     if on_record is not None:
                         on_record(item, record, "run")
 
-            # Build views only for jobs with work left: a store-warm
-            # campaign transforms nothing.
-            states: _States = None
-            if config.incremental and misses:
-                states = _build_states_for(jobs, misses)
-            cache_before = [
-                s.cache_stats() if s else (0, 0, 0) for s in states or ()
-            ]
+            # The base transforms of jobs with work left, fetched before
+            # the pool forks so workers inherit them; a store-warm campaign
+            # transforms nothing.
+            if config.incremental:
+                for ji in sorted({item[0] for item in misses}):
+                    pristine, digest = jobs[ji].pristine_snapshot()
+                    for variant in jobs[ji].variants:
+                        base_transform(pristine, digest, variant)
 
             if not items:
                 # An explicit decision, not a silent no-op: a service-side
@@ -693,10 +563,10 @@ def run_campaign_jobs_with_manifest(
             run_item = functools.partial(
                 _run_item,
                 jobs,
-                states,
                 tracer=tracer,
                 counters=counters,
                 compiled=config.compiled,
+                incremental=config.incremental,
             )
             supervisor = WorkerSupervisor(
                 multiprocessing.get_context("fork") if effective > 1 else None,
@@ -716,13 +586,9 @@ def run_campaign_jobs_with_manifest(
             # campaign).
             cg_before = codegen_stats()
             started = time.monotonic()
-            _COMPILED.clear()
-            try:
-                computed = supervisor.run(
-                    misses, inline=run_item if effective <= 1 else None
-                )
-            finally:
-                _COMPILED.clear()
+            computed = supervisor.run(
+                misses, inline=run_item if effective <= 1 else None
+            )
             stats = supervisor.stats
             cancelled = cancel is not None and cancel.is_set()
             records = []
@@ -751,7 +617,7 @@ def run_campaign_jobs_with_manifest(
                 tracer.close()
 
     wall_s = time.monotonic() - started
-    manifest.jobs = _job_manifests(jobs, states, cache_before)
+    manifest.jobs = _job_manifests(jobs)
     builds.add_to(manifest)
     _record_outcome(manifest, jobs, stats, store)
     finish_manifest(manifest, config, records, wall_s, cg_before)

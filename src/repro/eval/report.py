@@ -105,7 +105,7 @@ def manifest_section(manifest) -> str:
     """Render a :class:`~repro.obs.RunManifest` as a report section.
 
     Shows the executor decisions (worker count and why, serial fallback,
-    incremental builds), build-table traffic, per-job cache behaviour, and
+    incremental builds), build-table traffic, the shape of each job, and
     outcome aggregates — the same data the JSON manifest persists.
     """
     lines = ["run manifest", "============"]
@@ -146,10 +146,7 @@ def manifest_section(manifest) -> str:
     for jm in manifest.jobs:
         lines.append(
             f"  job {jm.workload}/{jm.kind}: sites={jm.n_sites} "
-            f"variants={jm.n_variants} seeds={jm.n_seeds} "
-            f"cache hits={jm.cache_hits} misses={jm.cache_misses} "
-            f"full_rebuilds={jm.cache_full_rebuilds} "
-            f"builds_cached={jm.builds_cached}"
+            f"variants={jm.n_variants} seeds={jm.n_seeds}"
         )
     if manifest.store_path is not None:
         lines.append(

@@ -26,7 +26,7 @@ from ..core.diversity import (
     RearrangeHeap,
     ZeroBeforeFree,
 )
-from ..core.incremental import IncrementalDpmrCompiler, transform_digest
+from ..core.incremental import transform_digest
 from ..core.pipeline import DpmrBuild, DpmrCompiler
 from ..core.policies import (
     AllLoadsPolicy,
@@ -82,15 +82,6 @@ class CompiledVariant:
             compiled=compiled,
         )
 
-    @property
-    def cache_hits(self) -> int:
-        """Function-level transform cache hits of this build (0 if no DPMR)."""
-        return self._build.cache_hits if self._build is not None else 0
-
-    @property
-    def cache_misses(self) -> int:
-        return self._build.cache_misses if self._build is not None else 0
-
 
 @dataclass
 class Variant:
@@ -142,37 +133,6 @@ class Variant:
         if compiler is None:
             return CompiledVariant(self.name, module, None)
         return CompiledVariant(self.name, module, compiler.compile(module))
-
-    # -- incremental campaign builds ------------------------------------
-
-    def incremental_compiler(
-        self, pristine: Module
-    ) -> Optional[IncrementalDpmrCompiler]:
-        """A function-level transform cache for campaign builds derived from
-        ``pristine`` (None for non-DPMR variants, which need no transform).
-
-        It holds the transform configuration only, so one such compiler
-        serves every variant with this :meth:`transform_key`."""
-        compiler = self.transform_compiler()
-        if compiler is None:
-            return None
-        return compiler.incremental(pristine)
-
-    def compile_incremental(
-        self,
-        incremental: Optional[IncrementalDpmrCompiler],
-        module: Module,
-    ) -> CompiledVariant:
-        """Compile ``module`` through an incremental cache of this variant's
-        transform configuration.
-
-        Produces builds byte-identical to :meth:`compile`; ``incremental``
-        is a compiler returned by :meth:`incremental_compiler` of any
-        variant with this :meth:`transform_key` (None for non-DPMR
-        variants).
-        """
-        build = incremental.compile(module) if incremental is not None else None
-        return self.bind(module, build)
 
     def bind(self, module: Module, build: Optional[DpmrBuild]) -> CompiledVariant:
         """This variant's runnable build of a diversity-free transform

@@ -14,7 +14,8 @@ structurally by ``benchmarks/perf_interp.py --smoke`` and
   replica loads/stores, heap churn) surface on ``ProcessResult.counters``
   and aggregate into campaign totals;
 * :class:`RunManifest` records every executor decision (worker count and
-  why, incremental cache behaviour, serial fallback) next to the records.
+  why, build path and build-table traffic, serial fallback) next to the
+  records.
 
 This package is dependency-light by design: it may import :mod:`repro.ir`
 but never :mod:`repro.machine` or :mod:`repro.eval`, which both import it.

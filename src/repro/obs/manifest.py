@@ -2,7 +2,7 @@
 
 A :class:`RunManifest` is the campaign executor's flight recorder: every
 decision that used to be silent (worker count chosen and *why*, serial
-fallback reason, incremental cache behaviour per job) plus campaign-level
+fallback reason, build path, the shape of each job) plus campaign-level
 aggregates (record counts by exit status, machine counter totals).  It is
 returned alongside the records by the :func:`repro.eval.run` facade and —
 when a manifest or trace path is configured — persisted as JSON next to
@@ -21,10 +21,12 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 #: Manifest schema version; bump on incompatible shape changes.
-MANIFEST_SCHEMA = 7
+MANIFEST_SCHEMA = 8
 
-#: Keys of the shard fabric (schemas 5–6), removed in schema 7.  Older
-#: manifests still load: :meth:`RunManifest.from_dict` drops exactly these.
+#: Keys of the shard fabric (schemas 5–6), removed in schema 7, and the
+#: per-job build-cache keys, removed from :class:`JobManifest` in schema 8.
+#: Older manifests still load: :meth:`RunManifest.from_dict` drops exactly
+#: these.
 _RETIRED_KEYS = (
     "n_shards",
     "lease_grants",
@@ -32,6 +34,12 @@ _RETIRED_KEYS = (
     "lease_expiries",
     "store_synced",
     "shards",
+)
+_RETIRED_JOB_KEYS = (
+    "cache_hits",
+    "cache_misses",
+    "cache_full_rebuilds",
+    "builds_cached",
 )
 
 
@@ -72,13 +80,6 @@ class JobManifest:
     n_variants: int
     n_seeds: int
     sites: List[str] = field(default_factory=list)
-    #: function-level transform cache behaviour (all-zero when the job ran
-    #: on the full-rebuild path).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_full_rebuilds: int = 0
-    #: finished (site, variant) builds retained on the job's build state.
-    builds_cached: int = 0
 
 
 @dataclass
@@ -175,7 +176,10 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "RunManifest":
-        jobs = [JobManifest(**j) for j in d.get("jobs", ())]
+        jobs = [
+            JobManifest(**{k: v for k, v in j.items() if k not in _RETIRED_JOB_KEYS})
+            for j in d.get("jobs", ())
+        ]
         quarantined = [QuarantineRecord(**q) for q in d.get("quarantined", ())]
         fields = {
             k: v

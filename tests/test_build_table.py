@@ -86,8 +86,6 @@ def test_repeated_request_builds_nothing():
         assert served == (2, 2 * N_DPMR_VARIANTS, n)
         assert f"base built=0 served={2 * N_DPMR_VARIANTS}" in manifest_section(m)
         assert sigs(again) == sigs(cold)
-        # Nothing was transformed, so the per-job cache stats are zero too.
-        assert all(j.cache_hits == j.cache_misses == 0 for j in m.jobs)
 
 
 @pytest.mark.parametrize(
@@ -241,22 +239,9 @@ def test_overlapping_requests_on_two_threads_match_serial():
     assert out == serial
 
 
-def test_job_manifest_cache_stats_are_per_campaign():
-    harness = WorkloadHarness("mcf", app_factory("mcf", 1))
-    variants = resolve_variants(("stdapp", "no-diversity", "all-loads"))
-    jobs = [job_for_harness(harness, variants, HEAP_ARRAY_RESIZE, max_sites=2)]
-    first = run(jobs, config=ExecConfig()).manifest.jobs[0]
-    second = run(jobs, config=ExecConfig()).manifest.jobs[0]
-    # 2 sites × 1 transform (no-diversity and all-loads share it)
-    assert (first.cache_hits, first.cache_misses) == (2, 2)
-    assert (second.cache_hits, second.cache_misses) == (0, 0)
-    assert second.builds_cached == first.builds_cached == 2 * 2
-
-
 def test_variants_appended_mid_campaign_leave_the_manifest_intact():
     """The service appends variants to a canonical job while a batch runs;
-    the batch's per-job telemetry covers the variants its view was made
-    for."""
+    the batch runs and builds only the tuples it was given."""
     harness = WorkloadHarness("mcf", app_factory("mcf", 1))
     variants = resolve_variants(("stdapp", "no-diversity"))
     job = job_for_harness(harness, variants, HEAP_ARRAY_RESIZE, max_sites=2)
@@ -269,8 +254,42 @@ def test_variants_appended_mid_campaign_leave_the_manifest_intact():
     records, manifest = P.run_campaign_jobs_with_manifest(
         [job], config=ExecConfig(), on_record=grow
     )
-    assert len(records) == 2 * 2
-    assert manifest.jobs[0].builds_cached == 2 * 2
+    assert [(r.site, r.variant) for r in records] == [
+        (site.site_id, v.name) for site in job.sites for v in variants
+    ]
+    assert manifest.site_built == 2 * 2  # sites × (stdapp, no-diversity)
+    reset_build_table()
+    fresh = run(
+        [job_for_harness(harness, variants, HEAP_ARRAY_RESIZE, max_sites=2)],
+        config=ExecConfig(),
+    )
+    assert [r.signature() for r in records] == sigs(fresh)
+
+
+def test_partly_warm_store_builds_only_for_the_cold_job(tmp_path):
+    """A store warm for job 0 only: the pre-fork base fetch and the site
+    builds cover job 1 alone, and the records equal a storeless run."""
+    variants = resolve_variants(REQUEST.variants)
+    jobs = [
+        job_for_harness(
+            WorkloadHarness(app, app_factory(app, 1), seeds=REQUEST.seeds),
+            variants,
+            HEAP_ARRAY_RESIZE,
+            max_sites=REQUEST.max_sites,
+        )
+        for app in REQUEST.workloads
+    ]
+    config = ExecConfig(store_path=str(tmp_path / "store"))
+    job0 = [item for item in P._all_items(jobs) if item[0] == 0]
+    P.run_campaign_jobs_with_manifest(jobs, config=config, items=job0)
+    reset_build_table()
+    records, m = P.run_campaign_jobs_with_manifest(jobs, config=config)
+    assert m.store_hits == len(job0)
+    assert m.base_built + m.base_served == N_DPMR_VARIANTS
+    assert m.site_built == len(jobs[1].sites) * N_SITE_BUILDS
+    reset_build_table()
+    storeless = run(jobs, config=ExecConfig())
+    assert [r.signature() for r in records] == sigs(storeless)
 
 
 def test_store_warm_request_transforms_nothing(tmp_path):
@@ -314,7 +333,6 @@ def test_diversity_and_policy_variants_share_transforms(design):
     assert m.base_served == len(jobs) * (len(variants) - 1) - 7
     assert m.site_built == n_sites * (1 + 7)  # stdapp + one per transform
     assert m.site_served == n_sites * len(variants) - m.site_built
-    assert [j.builds_cached for j in m.jobs] == [len(j.sites) * 8 for j in jobs]
     assert sigs(result) == sigs(run(jobs, config=ORACLE))
 
 

@@ -295,7 +295,7 @@ def test_cold_campaign_compiles_only_what_it_runs():
     the base's only transformed function: nothing of the base is shared
     with what runs.
     """
-    from repro.eval.parallel import job_for_harness
+    from repro.eval.parallel import base_transform
     from repro.faultinject import HEAP_ARRAY_RESIZE
     from repro.faultinject.injector import enumerate_sites
     from repro.machine import compile as C
@@ -311,9 +311,10 @@ def test_cold_campaign_compiles_only_what_it_runs():
     compiles = codegen_stats()["misses"] - before["misses"]
     assert result.manifest.engine == "compiled"
     assert len(result.records) == n_sites == 4
+    assert (result.manifest.base_built, result.manifest.site_built) == (1, n_sites)
 
-    state = job_for_harness(harness, variants, HEAP_ARRAY_RESIZE).build_state()
-    base = state.bases[0].compiler.base_module
+    entry = base_transform(harness.pristine, harness.pristine_digest, variants[0])
+    base = entry.compiler.base_module
     assert not hasattr(base.functions["mainAug"], "_cg_cache")
     assert compiles == ART_CAMPAIGN_COMPILES
 
@@ -394,7 +395,7 @@ def test_exec_fingerprint_is_compiled_transparent():
 
 
 def test_manifest_records_engine_and_codegen_traffic():
-    assert MANIFEST_SCHEMA == 7
+    assert MANIFEST_SCHEMA == 8
     harness = WorkloadHarness("mcf", app_factory("mcf", 1))
     variants = [Variant(name="sds", design="sds")]
     res = run(

@@ -16,6 +16,7 @@ base transform.  These tests pin that path on the fuzzer's random program
 ``tests/test_incremental_build.py`` pins the same identity on equake.
 """
 
+from repro.core import IncrementalDpmrCompiler
 from repro.eval.variants import Variant, diversity_variants, policy_variants
 from repro.faultinject.injector import FAULT_KINDS, enumerate_sites, inject
 from repro.ir.printer import format_module
@@ -34,7 +35,7 @@ def _faulty_builds(pristine, kind, max_sites=2):
 
 
 def _assert_identical(variant, pristine=PRISTINE):
-    inc = variant.incremental_compiler(pristine)
+    inc = IncrementalDpmrCompiler(variant.transform_compiler(), pristine)
     for kind in FAULT_KINDS:
         for faulty in _faulty_builds(pristine, kind):
             site_text = format_module(inc.compile(faulty).module)
@@ -76,7 +77,7 @@ class TestFallbacks:
 
     def test_memo_skips_delta_on_repeat_compiles(self):
         variant = diversity_variants("sds")[0]
-        inc = variant.incremental_compiler(PRISTINE)
+        inc = IncrementalDpmrCompiler(variant.transform_compiler(), PRISTINE)
         site = enumerate_sites(PRISTINE, "heap-array-resize")[0]
         faulty = inject(PRISTINE.clone(mutable_functions=(site.function,)), site)
         first = format_module(inc.compile(faulty).module)

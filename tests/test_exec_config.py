@@ -4,7 +4,7 @@ executor telemetry it returns.
 Covers the ``DPMR_*`` knob parsing, the removal of the pre-PR-4 per-call
 kwarg aliases (``jobs=``/``processes=``/``incremental=`` now raise
 ``TypeError``), the manifest every invocation produces (worker decision
-and why, serial-fallback reason, cache stats), and the previously-silent
+and why, serial-fallback reason, build counts), and the previously-silent
 serial fallback becoming a logged warning.
 """
 
@@ -30,7 +30,8 @@ from repro.eval import (
     stdapp_variant,
 )
 from repro.faultinject import HEAP_ARRAY_RESIZE
-from repro.obs import JsonlTracer, RunManifest
+from repro.eval.parallel import base_transform
+from repro.obs import JobManifest, JsonlTracer, RunManifest
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +96,11 @@ class TestFromEnv:
     def test_bad_int_rejected(self):
         with pytest.raises(ValueError, match="DPMR_JOBS"):
             ExecConfig.from_env({"DPMR_JOBS": "many"})
-        with pytest.raises(ValueError, match="DPMR_TIMEOUT_FACTOR"):
-            ExecConfig.from_env({"DPMR_TIMEOUT_FACTOR": "soon"})
+        # A factor below 1 would clamp every budget to the harness's cycle
+        # floor, below some golden runs: reject it rather than time out.
+        for raw in ("soon", "0", "-3"):
+            with pytest.raises(ValueError, match="DPMR_TIMEOUT_FACTOR"):
+                ExecConfig.from_env({"DPMR_TIMEOUT_FACTOR": raw})
 
     def test_bad_flag_rejected(self):
         with pytest.raises(ValueError, match="DPMR_COUNTERS"):
@@ -221,10 +225,14 @@ class TestRunFacade:
         assert m.n_jobs == 1 and m.n_items == len(res)
         assert [jm.workload for jm in m.jobs] == ["mcf"]
         assert m.jobs[0].n_sites == len(m.jobs[0].sites) > 0
-        # Incremental path: the function-level transform cache was used.
+        # Incremental path: both variants share one transform, so each
+        # site is built once and served to the other variant, and the
+        # base transform's function-level cache was used.
         assert m.incremental is True
-        assert m.jobs[0].cache_hits > 0
-        assert m.jobs[0].builds_cached > 0
+        assert m.site_built == m.jobs[0].n_sites
+        assert m.site_built + m.site_served == len(res)
+        base = base_transform(harness.pristine, harness.pristine_digest, variants[0])
+        assert base.compiler.stats.hits > 0
 
     def test_campaign_result_round_trips_through_json(self, harness, variants):
         res = run(
@@ -324,7 +332,8 @@ class TestRunFacade:
 
 
 class TestOlderManifests:
-    """Manifests written before schema 7 carried the shard fabric's keys."""
+    """Manifests written before schema 7 carried the shard fabric's keys,
+    and their jobs carried build-cache keys until schema 8."""
 
     COMMITTED = (
         Path(__file__).resolve().parents[1]
@@ -341,9 +350,17 @@ class TestOlderManifests:
         assert loaded.status_counts == raw["status_counts"]
 
     def test_retired_fabric_keys_are_dropped(self):
-        fresh = RunManifest(mode="campaign")
-        old = fresh.to_dict()
-        old.update(
+        job = JobManifest(
+            workload="mcf",
+            kind="heap-array-resize",
+            n_sites=1,
+            n_variants=2,
+            n_seeds=1,
+            sites=["s0"],
+        )
+        fresh = RunManifest(mode="campaign", jobs=[job])
+        schema6 = fresh.to_dict()
+        schema6.update(
             schema=6,
             n_shards=2,
             lease_grants=3,
@@ -352,9 +369,15 @@ class TestOlderManifests:
             store_synced=5,
             shards=[{"shard": 0, "leases": 3, "n_records": 5}],
         )
-        loaded = RunManifest.from_dict(old)
-        assert loaded.schema == 6
-        assert {**loaded.to_dict(), "schema": fresh.schema} == fresh.to_dict()
+        schema7 = fresh.to_dict()
+        schema7["schema"] = 7
+        schema7["jobs"][0].update(
+            cache_hits=1, cache_misses=1, cache_full_rebuilds=0, builds_cached=2
+        )
+        for old in (schema6, schema7):
+            loaded = RunManifest.from_dict(old)
+            assert loaded.schema == old["schema"]
+            assert {**loaded.to_dict(), "schema": fresh.schema} == fresh.to_dict()
 
     def test_other_unknown_keys_still_raise(self):
         d = RunManifest(mode="campaign").to_dict()

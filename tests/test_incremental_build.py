@@ -20,13 +20,14 @@ from repro.eval import (
     WorkloadHarness,
     coverage_components,
     diversity_variants,
+    job_for_harness,
     mean_time_to_detection,
     policy_variants,
     stdapp_variant,
 )
+from repro.eval.parallel import reference_build, site_build
 from repro.faultinject import HEAP_ARRAY_RESIZE, IMMEDIATE_FREE
 from repro.faultinject.campaign import Campaign
-from repro.faultinject.injector import inject
 from repro.ir.printer import format_module
 
 from .test_parallel_determinism import record_signature
@@ -93,33 +94,34 @@ class TestRecordIdentity:
     @pytest.mark.parametrize("design", ["sds", "mds"])
     def test_transformed_module_text_identical(self, design):
         # Diversity, comparison-policy (static-N draws per load site) and
-        # opaque compile-state variants: every incremental build of an
-        # equake fault prints exactly as a full rebuild of the same faulty
-        # program.  tests/test_delta_transforms.py pins the same on a
-        # random program under both fault kinds.
+        # opaque compile-state variants: every campaign build of an equake
+        # fault (site_build) prints exactly as the full-rebuild oracle
+        # (reference_build) of the same faulty program.
+        # tests/test_delta_transforms.py pins the same on a random program
+        # under both fault kinds.
         variants = (
             diversity_variants(design)[:3]
             + policy_variants(design)
             + [Variant(name="opaque", design=design, policy=_OpaqueStatefulPolicy())]
         )
-        camp = Campaign(app_factory("equake", 1), IMMEDIATE_FREE)
+        harness = WorkloadHarness("equake", app_factory("equake", 1))
+        job = job_for_harness(harness, variants, IMMEDIATE_FREE)
         for variant in variants:
-            incremental = variant.incremental_compiler(camp.pristine)
-            for site in camp.sites:
-                full = variant.compile(inject(app_factory("equake", 1)(), site, 50))
-                fast = variant.compile_incremental(
-                    incremental, camp.faulty_module(site)
-                )
+            for si in range(len(job.sites)):
+                _, fast = site_build(job, si, variant)
+                full = reference_build(job, si, variant)
                 assert format_module(full._build.module) == format_module(
-                    fast._build.module
-                ), f"{variant.name}: incremental build diverges from full rebuild"
+                    fast.module
+                ), f"{variant.name}: campaign build diverges from full rebuild"
 
 
 class TestCacheAccounting:
     def test_hit_and_miss_counters(self):
         camp = Campaign(app_factory("mcf", 1), HEAP_ARRAY_RESIZE)
         variant = diversity_variants("sds")[0]
-        incremental = variant.incremental_compiler(camp.pristine)
+        incremental = IncrementalDpmrCompiler(
+            variant.transform_compiler(), camp.pristine
+        )
         site = camp.sites[0]
 
         build = incremental.compile(camp.faulty_module(site))
@@ -139,7 +141,9 @@ class TestCacheAccounting:
     def test_unchanged_module_is_all_hits(self):
         camp = Campaign(app_factory("mcf", 1), HEAP_ARRAY_RESIZE)
         variant = diversity_variants("sds")[0]
-        incremental = variant.incremental_compiler(camp.pristine)
+        incremental = IncrementalDpmrCompiler(
+            variant.transform_compiler(), camp.pristine
+        )
         build = incremental.compile(camp.pristine_module())
         assert build.cache_misses == 0
         assert build.cache_hits >= 2
@@ -159,7 +163,9 @@ class TestCacheInvalidation:
         camp = Campaign(app_factory("bzip2", 1), HEAP_ARRAY_RESIZE)
         assert len(camp.sites) >= 2
         variant = diversity_variants("sds")[0]
-        incremental = variant.incremental_compiler(camp.pristine)
+        incremental = IncrementalDpmrCompiler(
+            variant.transform_compiler(), camp.pristine
+        )
         a = incremental.compile(camp.faulty_module(camp.sites[0]))
         b = incremental.compile(camp.faulty_module(camp.sites[1]))
         assert a.cache_misses == 1 and b.cache_misses == 1

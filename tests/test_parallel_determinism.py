@@ -22,12 +22,11 @@ from repro.eval import (
     effective_workers,
     job_for_harness,
     mean_time_to_detection,
-    prepare_build_states,
     run_campaign_jobs,
     run_campaign_jobs_with_manifest,
     stdapp_variant,
 )
-from repro.eval.parallel import MIN_ITEMS_PER_WORKER
+from repro.eval.parallel import MIN_ITEMS_PER_WORKER, base_transform
 from repro.faultinject import HEAP_ARRAY_RESIZE
 
 
@@ -169,13 +168,15 @@ class TestIncrementalThroughExecutor:
             record_signature(r) for r in inc
         ]
 
-    def test_prebuilt_states_reused_and_counted(self, harness, variants):
-        # Views prepared ahead of a campaign are served to it by content:
-        # the executor reaches the same base compilers through the table.
+    def test_prebuilt_bases_reused_counted(self, harness, variants):
+        # Base transforms fetched ahead of a campaign are served to it by
+        # content: the executor's site builds go through the same compilers.
         job = job_for_harness(harness, variants, HEAP_ARRAY_RESIZE)
-        states = prepare_build_states([job])
+        bases = [
+            base_transform(job.pristine, job.pristine_digest, v) for v in job.variants
+        ]
         _, manifest = run_campaign_jobs_with_manifest([job], config=ExecConfig())
-        compilers = [c for c in states[0].compilers if c is not None]
+        compilers = [b.compiler for b in bases if b is not None]
         assert compilers and all(c.stats.hits > 0 for c in compilers)
         assert all(c.stats.full_rebuilds == 0 for c in compilers)
         assert manifest.base_built == 0

@@ -102,9 +102,6 @@ class TestManifestSection:
                     n_sites=2,
                     n_variants=8,
                     n_seeds=2,
-                    cache_hits=30,
-                    cache_misses=2,
-                    builds_cached=16,
                 )
             ],
             status_counts={"normal": 20, "dpmr-detected": 12},
@@ -122,8 +119,7 @@ class TestManifestSection:
         assert "trace=campaign.jsonl" in text
         assert "counters=on" in text
         assert "timeout_factor=20" in text
-        assert "job mcf/heap-array-resize" in text
-        assert "cache hits=30 misses=2" in text
+        assert "job mcf/heap-array-resize: sites=2 variants=8 seeds=2" in text
         assert "dpmr-detected=12" in text
         assert "persisted: campaign.jsonl.manifest.json" in text
 
