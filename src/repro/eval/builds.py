@@ -283,8 +283,9 @@ def build_table() -> BuildTable:
 def reset_build_table() -> None:
     """Drop every build-table entry, so the next builds run cold.
 
-    The companion of :func:`repro.machine.compile.reset_codegen_caches`
-    for benchmark arms and tests that measure cold builds; counts keep
+    For benchmark arms and tests that measure cold builds; tests that
+    also measure cold compiles pair it with
+    :func:`repro.machine.compile.reset_codegen_caches`.  Counts keep
     running (read them as deltas).
     """
     _TABLE.clear()

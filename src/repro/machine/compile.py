@@ -61,6 +61,7 @@ from .interpreter import (
     Machine,
     Timeout,
     compute_global_layout,
+    fdiv,
 )
 from .memory import _SCALAR_STRUCTS, _U64, DEFAULT_GLOBALS_SIZE, GLOBALS_BASE
 
@@ -153,29 +154,29 @@ def _lru_put(cache: OrderedDict, key, value, budget: int) -> None:
         cache.popitem(last=False)
 
 
-def reset_codegen_caches(code_cache: bool = False) -> None:
-    """Drop the stamp cache (test isolation helper).
-
-    The content-addressed code cache survives by default: it is keyed
-    purely by generated source, so stale entries are impossible.  Pass
-    ``code_cache=True`` to drop it too — benchmarks use this to compare
-    truly cold configurations fairly."""
+def reset_codegen_caches() -> None:
+    """Drop both process-wide codegen maps, the stamp cache and the
+    content-addressed code cache, so the next program generates and
+    compiles its code from cold (test isolation helper)."""
     _STAMP_CACHE.clear()
-    if code_cache:
-        _CODE_CACHE.clear()
+    _CODE_CACHE.clear()
 
 
-def _bto(m, costs) -> None:
-    """Batch-timeout replay: the batch accounting proved this batch crosses
-    ``max_cycles``, so re-run the interpreter's exact per-instruction
-    bookkeeping until the crossing instruction raises.  Always raises."""
-    c = m.cycles
+def _bto(m, c, n, *costs) -> None:
+    """Batch-timeout replay.  Generated code holds the activation's cycle
+    and instruction counts in locals; it calls this with the counts ``c``
+    and ``n`` before a batch whose total cost would cross ``max_cycles``.
+    Replay the interpreter's per-instruction bookkeeping over ``costs``,
+    write the crossing instruction's counts to the machine and raise
+    Timeout.  The caller's exception handler sees a larger instruction
+    count than its own and leaves these counts in place."""
     mx = m.max_cycles
     for cost in costs:
-        m.instructions_executed += 1
+        n += 1
         c += cost
-        m.cycles = c
         if c > mx:
+            m.cycles = c
+            m.instructions_executed = n
             raise Timeout(f"exceeded {mx} cycles")
     raise AssertionError("batch flagged as crossing but no step crossed")
 
@@ -185,19 +186,12 @@ def _f32(r):
     return _F32.unpack(_F32.pack(r))[0]
 
 
-def _fdiv(a, b):
-    """Bit-exact twin of the interpreter's ``_bh_fdiv`` core."""
-    if b == 0.0:
-        return float("inf") if a > 0 else float("-inf") if a < 0 else float("nan")
-    return a / b
-
-
 def _base_namespace() -> Dict[str, object]:
     ns: Dict[str, object] = {
         "ExecutionTrap": ExecutionTrap,
         "_bto": _bto,
         "_f32": _f32,
-        "_fdiv": _fdiv,
+        "_fdiv": fdiv,
         "_PTR": VOID_PTR,
         "_DD": DpmrDetected,
     }

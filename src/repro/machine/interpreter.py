@@ -570,32 +570,44 @@ def _bh_srem(m: "Machine", i: ins.BinOp, regs) -> None:
     regs[i.result.name] = _arith_result(i.result.type, a - q * b)
 
 
-def _bh_fdiv(m: "Machine", i: ins.BinOp, regs) -> None:
-    a = m._value(i.lhs, regs)
-    b = m._value(i.rhs, regs)
+def fdiv(a, b):
+    """Float division with the IEEE results for a zero divisor."""
     if b == 0.0:
-        r = float("inf") if a > 0 else float("-inf") if a < 0 else float("nan")
-    else:
-        r = a / b
-    regs[i.result.name] = _arith_result(i.result.type, r)
+        return float("inf") if a > 0 else float("-inf") if a < 0 else float("nan")
+    return a / b
 
 
-_BINOP_HANDLERS = {
-    "add": _make_binop(operator.add),
-    "sub": _make_binop(operator.sub),
-    "mul": _make_binop(operator.mul),
-    "sdiv": _bh_sdiv,
-    "srem": _bh_srem,
-    "and": _make_binop(operator.and_),
-    "or": _make_binop(operator.or_),
-    "xor": _make_binop(operator.xor),
-    "shl": _make_binop(lambda a, b: a << (b & 63)),
-    "shr": _make_binop(lambda a, b: a >> (b & 63)),
-    "fadd": _make_binop(operator.add),
-    "fsub": _make_binop(operator.sub),
-    "fmul": _make_binop(operator.mul),
-    "fdiv": _bh_fdiv,
+#: The operators of the trap-free binary ops and of the comparisons.  The
+#: compiled tier folds constant operands through these same functions and
+#: :func:`_arith_result`, so a folded literal is what the interpreter
+#: computes.
+BINOP_FNS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
+    "shl": lambda a, b: a << (b & 63),
+    "shr": lambda a, b: a >> (b & 63),
+    "fadd": operator.add,
+    "fsub": operator.sub,
+    "fmul": operator.mul,
+    "fdiv": fdiv,
 }
+
+CMP_FNS = {
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "slt": operator.lt,
+    "sle": operator.le,
+    "sgt": operator.gt,
+    "sge": operator.ge,
+}
+
+_BINOP_HANDLERS = {op: _make_binop(fn) for op, fn in BINOP_FNS.items()}
+_BINOP_HANDLERS["sdiv"] = _bh_sdiv
+_BINOP_HANDLERS["srem"] = _bh_srem
 
 
 def _make_cmp(op_fn):
@@ -605,14 +617,7 @@ def _make_cmp(op_fn):
     return handler
 
 
-_CMP_HANDLERS = {
-    "eq": _make_cmp(operator.eq),
-    "ne": _make_cmp(operator.ne),
-    "slt": _make_cmp(operator.lt),
-    "sle": _make_cmp(operator.le),
-    "sgt": _make_cmp(operator.gt),
-    "sge": _make_cmp(operator.ge),
-}
+_CMP_HANDLERS = {op: _make_cmp(fn) for op, fn in CMP_FNS.items()}
 
 
 def _h_load(m: "Machine", i: ins.Load, regs) -> None:

@@ -82,7 +82,7 @@ class Segment:
             # Deterministic "garbage" (uninitialized reads see junk that
             # differs between addresses, which is what lets DPMR's replica
             # comparison catch them), mapped copy-on-write from a memfd
-            # holding the memoized template.  Byte-for-byte identical to a
+            # holding the template.  Byte-for-byte identical to a
             # bytearray copy, but a multi-megabyte segment costs one mmap
             # call instead of a full memcpy, and only pages the run
             # actually writes are ever copied — the dominant fixed cost of
@@ -136,11 +136,13 @@ class Segment:
                 pool.append(buf)
 
 
-#: Memoized garbage fills.  The fill is a pure function of (seed, size), and
-#: every Machine of a campaign rebuilds identical multi-megabyte segments, so
-#: generating the bytes once and copying them beats re-running the PRNG by
-#: orders of magnitude.  Keyed by the already-XORed seed; bounded in practice
-#: by the handful of (seed, segment-size) configurations a process uses.
+#: Memoized garbage fills for the pooled-bytearray path.  The fill is a pure
+#: function of (seed, size), and every Machine of a campaign rebuilds
+#: identical multi-megabyte segments, so generating the bytes once and
+#: copying them beats re-running the PRNG by orders of magnitude.  Keyed by
+#: the already-XORed seed; bounded in practice by the handful of (seed,
+#: segment-size) configurations a process uses.  The copy-on-write path
+#: never fills this: its template lives in a memfd.
 _GARBAGE_CACHE: Dict[Tuple[int, int], bytes] = {}
 
 #: Memoized all-zero fills (globals segments), same rationale.
@@ -152,11 +154,15 @@ _BUFFER_POOL: Dict[int, List[bytearray]] = {}
 _BUFFER_POOL_MAX = 8
 
 
+def _garbage_template(seed: int, size: int) -> bytes:
+    return random.Random(seed).randbytes(size)
+
+
 def _garbage_bytes(seed: int, size: int) -> bytes:
     key = (seed, size)
     data = _GARBAGE_CACHE.get(key)
     if data is None:
-        data = _GARBAGE_CACHE[key] = random.Random(seed).randbytes(size)
+        data = _GARBAGE_CACHE[key] = _garbage_template(seed, size)
     return data
 
 
@@ -171,19 +177,21 @@ def _zero_bytes(size: int) -> bytes:
 #: pooled-bytearray path below provides the same bytes, just with a memcpy.
 _COW_GARBAGE = hasattr(os, "memfd_create")
 
-#: memfd holding each memoized garbage template, keyed like _GARBAGE_CACHE.
-#: The fds live for the whole process (a handful of configurations) and are
+#: memfd holding each garbage template, keyed like _GARBAGE_CACHE.  The fds
+#: live for the whole process (a handful of configurations) and are
 #: inherited by forked campaign workers along with their mappings.
 _GARBAGE_FDS: Dict[Tuple[int, int], int] = {}
 
 
 def _garbage_fd(seed: int, size: int) -> int:
+    """The memfd holding the (seed, size) template.  The template's bytes
+    are written into it and dropped: copy-on-write segments map the memfd
+    and never read them again."""
     key = (seed, size)
     fd = _GARBAGE_FDS.get(key)
     if fd is None:
         fd = os.memfd_create(f"dpmr-garbage-{seed & 0xFFFFFFFF:08x}")
-        data = _garbage_bytes(seed, size)
-        view = memoryview(data)
+        view = memoryview(_garbage_template(seed, size))
         while view:
             view = view[os.write(fd, view):]
         _GARBAGE_FDS[key] = fd

@@ -13,7 +13,7 @@ manifest engine/codegen fields, store-fingerprint transparency).
 
 import pytest
 
-from repro.apps import app_factory
+from repro.apps import WORKLOAD_ORDER, app_factory
 from repro.eval.api import run
 from repro.eval.config import ExecConfig
 from repro.eval.experiment import WorkloadHarness
@@ -163,6 +163,193 @@ def test_timeout_identity_sweep():
         assert interp.status is ExitStatus.TIMEOUT
 
 
+def _sweep_variants():
+    """SDS and MDS under a diversity whose program binds ``_rmal``/
+    ``_rfree``, a stateful one whose program keeps the generic
+    ``call_intrinsic`` hooks, and a static comparison policy."""
+    from repro.core.diversity import PadMalloc, SegregatedReplicas
+    from repro.core.policies import static_10
+
+    return [
+        variant
+        for design in ("sds", "mds")
+        for variant in (
+            Variant(name=f"{design}-pad", design=design, diversity=PadMalloc(8)),
+            Variant(
+                name=f"{design}-segregated",
+                design=design,
+                diversity=SegregatedReplicas(),
+            ),
+            Variant(name=f"{design}-static", design=design, policy=static_10()),
+        )
+    ]
+
+
+@pytest.fixture
+def crossings(monkeypatch):
+    """The crossing step (0 for a batch's first instruction) of every
+    batch that ``_bto`` replays in programs bound while the fixture is
+    active."""
+    from repro.machine import compile as C
+
+    seen = []
+    replay = C._bto
+
+    def recording_bto(m, c, n, *costs):
+        try:
+            replay(m, c, n, *costs)
+        finally:
+            seen.append(m.instructions_executed - n - 1)
+
+    monkeypatch.setitem(C.BASE_NS, "_bto", recording_bto)
+    return seen
+
+
+@pytest.mark.parametrize("app", WORKLOAD_ORDER)
+def test_timeout_identity_sweep_dpmr_builds(app, crossings):
+    """Counts held in activation locals reach the machine at every call
+    out of a generated function, at returns and in its exception handler.
+    Budgets that land mid-batch time out inside ``_bto``; budgets one
+    cycle short of, at and past the end of a heap charge time out (or
+    not) inside ``Machine.charge``, behind a write-back.  Both must give
+    the interpreter's full signature."""
+    heap_timeouts = 0
+    for variant in _sweep_variants():
+        build = variant.compile(app_factory(app, 1)())
+        tracer = CollectingTracer(events=["heap"])
+        full = build.run(tracer=tracer)
+        assert full.status is ExitStatus.NORMAL
+        charges = [e["cyc"] for e in tracer.events if e["ev"] == "heap"]
+        ends = {charges[0], charges[len(charges) // 2], charges[-1]}
+        budgets = {int(full.cycles * frac) for frac in (0.27, 0.5, 0.73)}
+        budgets |= {end + d for end in ends for d in (-1, 0, 1)}
+        for budget in sorted(budgets):
+            interp = build.run(max_cycles=budget)
+            comp = build.run(max_cycles=budget, compiled=True)
+            assert _signature(comp) == _signature(interp), (variant.name, budget)
+            assert interp.status is ExitStatus.TIMEOUT
+            if budget + 1 in ends:
+                assert interp.cycles == budget + 1
+                heap_timeouts += 1
+    assert heap_timeouts == len(_sweep_variants()) * 3
+    assert any(step > 0 for step in crossings)  # some budget landed mid-batch
+
+
+#: One fault-injected build per fault kind and the diversities it runs
+#: under: no-diversity (plain ``_rmal``/``_rfree``), rearrange-heap (the
+#: diversity method), pad-256 (a pad closure) and segregated replicas (the
+#: generic hooks).  Between them, the runs leave their generated code
+#: through a slow-path MemoryTrap, a heap abort and ``raise _DD``.
+FAULTY_BUILDS = (
+    ("mcf", "heap-array-resize", "heap-array-resize@main/entry/3"),
+    ("art", "immediate-free", "immediate-free@main/entry/3"),
+)
+
+
+def test_fault_exits_leave_through_the_handler():
+    from repro.core.diversity import (
+        NoDiversity,
+        PadMalloc,
+        RearrangeHeap,
+        SegregatedReplicas,
+    )
+    from repro.faultinject.injector import enumerate_sites, inject
+
+    outcomes = set()
+    for app, kind, site_id in FAULTY_BUILDS:
+        (site,) = [
+            s for s in enumerate_sites(app_factory(app, 1)(), kind)
+            if s.site_id == site_id
+        ]
+        build = Variant(name="sds", design="sds").compile(
+            inject(app_factory(app, 1)(), site)
+        )
+        for diversity in (
+            NoDiversity(),
+            RearrangeHeap(),
+            PadMalloc(256),
+            SegregatedReplicas(),
+        ):
+            runnable = Variant(
+                name=diversity.name, design="sds", diversity=diversity
+            ).bind(build.module, build._build)
+            full = runnable.run()
+            assert full.fault_activations, (site_id, diversity.name)
+            for budget in (None, full.cycles // 2, full.cycles - 1):
+                kwargs = {} if budget is None else {"max_cycles": budget}
+                interp = runnable.run(**kwargs)
+                comp = runnable.run(compiled=True, **kwargs)
+                assert _signature(comp) == _signature(interp), (
+                    site_id,
+                    diversity.name,
+                    budget,
+                )
+            outcomes.add(
+                "detected"
+                if full.status is ExitStatus.DPMR_DETECTED
+                else full.detail.split()[0].rstrip(":")
+            )
+    assert {"detected", "heap-abort", "segmentation-fault"} <= outcomes
+
+
+# -- generated code size -------------------------------------------------
+
+#: (generated lines, source bytes, reachable IR instructions) over every
+#: function of the four apps at scale 1, as generated for the generic
+#: program: the pristine apps and their SDS all-loads builds.  Source
+#: text is what a cold program pays ``compile()`` time and memory for;
+#: these counts move only when emission changes.  With a five-line
+#: cycle epilogue per batch they were (6430, 357146, 832) and
+#: (17139, 1054325, 2285).
+GENERATED_CODE_SIZE = {
+    "pristine": (3115, 183896, 832),
+    "sds": (8360, 524319, 2285),
+}
+
+
+def test_generated_code_size_is_pinned(monkeypatch):
+    from repro.core.pipeline import DpmrCompiler
+    from repro.core.policies import AllLoadsPolicy
+    from repro.machine import compile as C
+
+    sources = []
+    generate = C.generate_function_source
+
+    def recording_generate(fn, ctx, pyname):
+        src = generate(fn, ctx, pyname)
+        sources.append(src)
+        return src
+
+    monkeypatch.setattr(C, "generate_function_source", recording_generate)
+    sizes = {}
+    for label in GENERATED_CODE_SIZE:
+        sources.clear()
+        n_inst = 0
+        for app in WORKLOAD_ORDER:
+            module = app_factory(app, 1)()
+            if label == "sds":
+                compiler = DpmrCompiler(design="sds", policy=AllLoadsPolicy())
+                module = compiler.compile(module).module
+            compiled_program_for(module, None)
+            n_inst += sum(
+                len(block.instructions)
+                for fn in module.functions.values()
+                if not fn.is_external
+                for block in fn.reachable_blocks()
+            )
+        assert not any("m.cycles +" in src for src in sources)
+        sizes[label] = (
+            sum(src.count("\n") for src in sources),
+            sum(len(src.encode()) for src in sources),
+            n_inst,
+        )
+    assert sizes == GENERATED_CODE_SIZE
+    for lines, _, n_inst in sizes.values():
+        assert lines <= 5.5 * n_inst
+    assert sizes["pristine"][1] <= 268_000
+    assert sizes["sds"][1] <= 0.75 * 1_054_325
+
+
 # -- content-addressed code cache ----------------------------------------
 
 
@@ -240,7 +427,7 @@ def test_runtime_specialization_binding_and_code_sharing(monkeypatch):
     segregated = Variant(
         name="segregated", design="sds", diversity=SegregatedReplicas()
     )
-    C.reset_codegen_caches(code_cache=True)
+    C.reset_codegen_caches()
     before = codegen_stats()
     result = run(
         WorkloadHarness("mcf", app_factory("mcf", 1)),
@@ -303,7 +490,7 @@ def test_cold_campaign_compiles_only_what_it_runs():
     harness = WorkloadHarness("art", app_factory("art", 1), seeds=(0,))
     variants = [Variant(name="sds", design="sds")]
     n_sites = len(enumerate_sites(harness.pristine, HEAP_ARRAY_RESIZE))
-    C.reset_codegen_caches(code_cache=True)
+    C.reset_codegen_caches()
     before = codegen_stats()
     result = run(
         harness, variants, kind=HEAP_ARRAY_RESIZE, config=ExecConfig(jobs=1)
@@ -347,7 +534,7 @@ def test_codegen_caches_evict_lru_one_entry_at_a_time(monkeypatch):
             evicted[name] += 1
 
     monkeypatch.setattr(C, "_lru_put", checked_put)
-    C.reset_codegen_caches(code_cache=True)
+    C.reset_codegen_caches()
     harness = WorkloadHarness("mcf", app_factory("mcf", 1), seeds=(0,))
     variants = (
         [stdapp_variant()]
