@@ -2,8 +2,7 @@
 
 Zero-cost when disabled — a machine without a tracer and with counters off
 runs the identical pre-observability interpreter loop (asserted
-structurally by ``benchmarks/perf_interp.py --smoke`` and
-``tests/test_obs_trace.py::TestFastPath``).  When enabled:
+structurally by ``tests/test_obs_trace.py::TestFastPath``).  When enabled:
 
 * :class:`Tracer` backends receive typed events (run boundaries, fault
   activations, DPMR comparisons, replica syncs, heap churn) with cycle

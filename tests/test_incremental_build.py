@@ -94,9 +94,9 @@ class TestRecordIdentity:
     @pytest.mark.parametrize("design", ["sds", "mds"])
     def test_transformed_module_text_identical(self, design):
         # Diversity, comparison-policy (static-N draws per load site) and
-        # opaque compile-state variants: every campaign build of an equake
-        # fault (site_build) prints exactly as the full-rebuild oracle
-        # (reference_build) of the same faulty program.
+        # opaque compile-state variants: every campaign build of an mcf or
+        # equake fault of either kind (site_build) prints exactly as the
+        # full-rebuild oracle (reference_build) of the same faulty program.
         # tests/test_delta_transforms.py pins the same on a random program
         # under both fault kinds.
         variants = (
@@ -104,15 +104,20 @@ class TestRecordIdentity:
             + policy_variants(design)
             + [Variant(name="opaque", design=design, policy=_OpaqueStatefulPolicy())]
         )
-        harness = WorkloadHarness("equake", app_factory("equake", 1))
-        job = job_for_harness(harness, variants, IMMEDIATE_FREE)
-        for variant in variants:
-            for si in range(len(job.sites)):
-                _, fast = site_build(job, si, variant)
-                full = reference_build(job, si, variant)
-                assert format_module(full._build.module) == format_module(
-                    fast.module
-                ), f"{variant.name}: campaign build diverges from full rebuild"
+        jobs = [
+            job_for_harness(WorkloadHarness(app, app_factory(app, 1)), variants, kind)
+            for app in ("mcf", "equake")
+            for kind in (HEAP_ARRAY_RESIZE, IMMEDIATE_FREE)
+        ]
+        for job in jobs:
+            assert job.sites
+            for variant in variants:
+                for si, site in enumerate(job.sites):
+                    _, fast = site_build(job, si, variant)
+                    full = reference_build(job, si, variant)
+                    assert format_module(full._build.module) == format_module(
+                        fast.module
+                    ), f"{variant.name}/{site.site_id}: diverges from full rebuild"
 
 
 class TestCacheAccounting:

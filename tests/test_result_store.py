@@ -47,20 +47,25 @@ def variants():
     return [stdapp_variant()] + diversity_variants("sds")[:2]
 
 
-def campaign_with_store(harness, variants, store_dir, **cfg):
+def campaign_with_store(harness, variants, store_dir, kind=HEAP_ARRAY_RESIZE, **cfg):
     config = ExecConfig(jobs=1, store_path=str(store_dir), **cfg)
-    return run(harness, variants, kind=HEAP_ARRAY_RESIZE, config=config)
+    return run(harness, variants, kind=kind, config=config)
 
 
 class TestRoundTrip:
     def test_hit_returns_identical_record(self, harness, variants, tmp_path):
-        cold = campaign_with_store(harness, variants, tmp_path / "s")
-        warm = campaign_with_store(harness, variants, tmp_path / "s")
-        assert warm.manifest.store_hits == len(cold.records) > 0
-        assert warm.manifest.store_misses == 0
-        assert [r.signature() for r in warm.records] == [
-            r.signature() for r in cold.records
-        ]
+        # Cold (computed and written) and warm (all served) campaigns both
+        # record exactly what a campaign without a store records.
+        for kind in FAULT_KINDS:
+            bare = run(harness, variants, kind=kind, config=ExecConfig(jobs=1))
+            expected = [r.signature() for r in bare.records]
+            store_dir = tmp_path / kind
+            cold = campaign_with_store(harness, variants, store_dir, kind)
+            warm = campaign_with_store(harness, variants, store_dir, kind)
+            assert warm.manifest.store_hits == len(cold.records) > 0, kind
+            assert warm.manifest.store_misses == 0, kind
+            assert [r.signature() for r in cold.records] == expected, kind
+            assert [r.signature() for r in warm.records] == expected, kind
 
     def test_counters_survive_the_round_trip(self, harness, variants, tmp_path):
         config = ExecConfig(jobs=1, store_path=str(tmp_path / "s"), counters=True)

@@ -245,7 +245,7 @@ class TestServiceEndToEnd:
             record_signature(r) for r in solo.records
         ]
 
-    def test_concurrent_overlapping_requests_share_tuples(self):
+    def test_concurrent_overlapping_requests_share_tuples(self, tmp_path):
         solo_a = run(REQUEST, config=ExecConfig())
         solo_b = run(OVERLAPPING, config=ExecConfig())
         union = {record_signature(r) for r in solo_a.records} | {
@@ -260,7 +260,8 @@ class TestServiceEndToEnd:
             with ServiceClient(port=port) as client:
                 results[name] = client.submit(request)
 
-        with ServiceDaemon(ExecConfig()) as daemon:
+        store_dir = str(tmp_path / "store")
+        with ServiceDaemon(ExecConfig(store_path=store_dir)) as daemon:
             threads = [
                 threading.Thread(target=submit, args=("a", REQUEST, daemon.port)),
                 threading.Thread(
@@ -280,12 +281,13 @@ class TestServiceEndToEnd:
                 record_signature(r) for r in solo.records
             ]
 
-        # The overlapping tuples executed exactly once.
+        # The overlapping tuples executed, and were stored, exactly once.
         m_a, m_b = results["a"].manifest, results["b"].manifest
         assert m_a.store_misses + m_b.store_misses == len(union)
         assert m_a.shared_hits + m_b.shared_hits == overlap
         assert stats["scheduled"] == len(union)
         assert stats["joins"] + stats["memory_hits"] == overlap
+        assert len(ResultStore(store_dir)) == len(union)
 
         # The event-log projections are a pure fold over the log.
         assert Projections.replay(events).to_dict() == projections
