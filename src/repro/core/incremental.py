@@ -188,7 +188,7 @@ class IncrementalDpmrCompiler:
         self._state_fp: Dict[str, str] = {}
         for fn in pristine.defined_functions():
             self._state_fp[fn.name] = hashlib.sha256(
-                repr(self._pre_states[fn.name]).encode()
+                compiler.policy.compile_state_repr(self._pre_states[fn.name]).encode()
             ).hexdigest()
             out.functions[self._tx.out_name(fn.name)]._dpmr_stamp = (
                 self._stamp_cfg,

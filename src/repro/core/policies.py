@@ -21,6 +21,7 @@ Policies are consulted by the transformation through two hooks:
 from __future__ import annotations
 
 import random
+from array import array
 from typing import TYPE_CHECKING, Optional
 
 from ..ir import instructions as ins
@@ -67,6 +68,10 @@ class ComparisonPolicy:
     def restore_compile_state(self, state) -> None:
         """Restore a snapshot taken by :meth:`compile_state`."""
 
+    def compile_state_repr(self, state) -> str:
+        """The text of a snapshot that provenance stamps digest."""
+        return repr(state)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"<policy {self.name}>"
 
@@ -100,14 +105,28 @@ class StaticLoadCheckingPolicy(ComparisonPolicy):
         self._rng = random.Random(self.seed)
 
     def compile_state(self):
-        return self._rng.getstate()
+        # A base transform keeps one snapshot per function: the Mersenne
+        # Twister's 625 words go into one machine array instead of a tuple
+        # of int objects, about a tenth of the bytes.
+        version, words, gauss = self._rng.getstate()
+        return version, array("I", words), gauss
 
     def restore_compile_state(self, state) -> None:
-        self._rng.setstate(state)
+        self._rng.setstate(_rng_state(state))
+
+    def compile_state_repr(self, state) -> str:
+        # The RNG state's own repr, so packing leaves every stamp as it was.
+        return repr(_rng_state(state))
 
     def emit_load_check(self, tx, loaded, replica_ptr) -> None:
         if self._rng.random() < self.fraction:
             tx.emit_compare_and_detect(loaded, replica_ptr)
+
+
+def _rng_state(snapshot) -> tuple:
+    """The ``random.Random.getstate()`` tuple a packed snapshot stands for."""
+    version, words, gauss = snapshot
+    return version, tuple(words), gauss
 
 
 class TemporalLoadCheckingPolicy(ComparisonPolicy):

@@ -24,9 +24,9 @@ entry          key (after the kind tag)
 ``base``       (pristine digest, transform digest): a
                :class:`BaseTransform`
 ``site``       (pristine digest, fault kind, percent, site id, transform
-               digest): a finished faulty build — the faulty module and
-               its DPMR build, or ``None`` for a variant without DPMR
-               (whose transform digest is ``None``)
+               digest): a finished faulty build — its DPMR build alone,
+               or the faulty module for a variant without DPMR (whose
+               transform digest is ``None``)
 =============  =======================================================
 
 The transform digest
@@ -45,7 +45,8 @@ identity, not a build's.
 **Bound.**  One LRU over all kinds with a constant entry budget
 (:data:`BUILD_TABLE_ENTRIES`); inserting past it evicts the least
 recently used entry, one at a time.  An evicted product is rebuilt on
-its next use, byte-identically, so eviction only ever costs time.
+its next use, byte-identically, so eviction only ever costs time.  The
+budget bounds entries, not memory (see :data:`BUILD_TABLE_ENTRIES`).
 
 **Safety.**  One lock guards every table mutation; a per-key gate makes
 concurrent lookups of the same missing key build it once.  Site builds
@@ -79,9 +80,12 @@ from ..ir.verifier import verify_module
 #: Entry budget of the table, over all kinds together.  The benchmark
 #: workloads hold about 140 entries (the service stream: 56 base
 #: transforms and 64 faulty builds), so neither evicts.  On the shipped
-#: apps at scale 1, a base transform takes about 0.2 MB (at most 0.35 MB)
-#: and a faulty build about 0.3 MB (at most 0.7 MB) with its compiled
-#: code, so a full table stays under about 400 MB.
+#: apps at scale 1, a base transform takes about 0.14 MB (at most
+#: 0.24 MB) and a faulty build about 0.26 MB (at most 0.49 MB) with its
+#: compiled code.  The budget counts entries, not bytes: a base
+#: transform's function memo keeps every function it re-translated, with
+#: its compiled code, after the ``site`` entry that asked for it is
+#: evicted (DESIGN.md §5, "Bound").
 BUILD_TABLE_ENTRIES = 512
 
 

@@ -221,9 +221,11 @@ def base_transform(
     return build_table().get(("base", digest, key), build)
 
 
-#: A finished faulty build: the faulty module and its DPMR build (None
-#: without DPMR), before a variant's name and diversity are bound to it.
-SiteBuild = Tuple[Module, Optional[DpmrBuild]]
+#: A finished faulty build, before a variant's name and diversity are
+#: bound to it: ``(faulty module, None)`` without DPMR, and ``(None, DPMR
+#: build)`` with it — nothing reads the faulty source once it is
+#: transformed, so the table does not keep it.
+SiteBuild = Tuple[Optional[Module], Optional[DpmrBuild]]
 
 # An experiment tuple: (job index, site index, variant index, run index).
 _Item = Tuple[int, int, int, int]
@@ -243,7 +245,9 @@ def site_build(job: CampaignJob, si: int, variant: Variant) -> SiteBuild:
     The build clones the module the base transform was built on, so every
     unchanged function is recognized by identity, injects the fault, and
     re-transforms the changed function under the base entry's lock (its
-    policy object and memo are not thread-safe).  The base is read with an
+    policy object and memo are not thread-safe).  The entry keeps only
+    what runs: the transformed build, not the faulty source it was made
+    from (see :data:`SiteBuild`).  The base is read with an
     uncounted lookup, since the campaign counted it when it fetched it
     before forking; only a base missing from the table is fetched (and
     counted) here.
@@ -265,7 +269,7 @@ def site_build(job: CampaignJob, si: int, variant: Variant) -> SiteBuild:
         if base is None:
             return faulty, None
         with base.lock:
-            return faulty, base.compiler.compile(faulty)
+            return None, base.compiler.compile(faulty)
 
     return build_table().get(
         ("site", digest, job.kind, job.percent, site.site_id, key), build

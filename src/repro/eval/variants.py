@@ -44,9 +44,15 @@ from ..machine.process import ProcessResult, run_process
 
 
 class CompiledVariant:
-    """A runnable build of one (module, variant) pair."""
+    """A runnable build of one (module, variant) pair.
 
-    def __init__(self, name: str, module: Module, build: Optional[DpmrBuild]):
+    ``module`` is the source program; a campaign's DPMR site build leaves
+    it None, since only the transformed ``build`` runs.
+    """
+
+    def __init__(
+        self, name: str, module: Optional[Module], build: Optional[DpmrBuild]
+    ):
         self.name = name
         self.module = module
         self._build = build
@@ -134,10 +140,13 @@ class Variant:
             return CompiledVariant(self.name, module, None)
         return CompiledVariant(self.name, module, compiler.compile(module))
 
-    def bind(self, module: Module, build: Optional[DpmrBuild]) -> CompiledVariant:
+    def bind(
+        self, module: Optional[Module], build: Optional[DpmrBuild]
+    ) -> CompiledVariant:
         """This variant's runnable build of a diversity-free transform
-        product: ``module`` and its DPMR build (None without DPMR), with
-        the variant's name and diversity bound to it."""
+        product: ``module`` and its DPMR build (None without DPMR; with
+        one, ``module`` may be None), with the variant's name and
+        diversity bound to it."""
         if build is not None:
             build = replace(build, diversity=self.effective_diversity())
         return CompiledVariant(self.name, module, build)

@@ -34,11 +34,13 @@ CMP_OPS = ("eq", "ne", "slt", "sle", "sgt", "sge")
 
 
 class Instruction:
-    """Base class for all instructions."""
+    """Base class for all instructions (every subclass declares
+    ``__slots__``; see :class:`~repro.ir.values.Value`)."""
 
-    result: Optional[Register] = None
+    __slots__ = ("result", "fault_site", "origin")
 
     def __init__(self) -> None:
+        self.result: Optional[Register] = None
         self.fault_site: Optional[str] = None
         self.origin: Optional[str] = None
 
@@ -54,6 +56,8 @@ class Instruction:
 
 class Alloca(Instruction):
     """Stack allocation: ``result <- alloca(ty [, count])``."""
+
+    __slots__ = ("allocated_type", "count")
 
     def __init__(self, result: Register, allocated_type: Type, count: Optional[Value] = None):
         super().__init__()
@@ -73,6 +77,8 @@ class Malloc(Instruction):
     *heap array resize* fault injection (§3.4).
     """
 
+    __slots__ = ("allocated_type", "count")
+
     def __init__(self, result: Register, allocated_type: Type, count: Optional[Value] = None):
         super().__init__()
         self.result = result
@@ -86,6 +92,8 @@ class Malloc(Instruction):
 class Free(Instruction):
     """Heap deallocation: ``free(ptr)``."""
 
+    __slots__ = ("pointer",)
+
     def __init__(self, pointer: Value):
         super().__init__()
         self.pointer = pointer
@@ -96,6 +104,8 @@ class Free(Instruction):
 
 class Load(Instruction):
     """Memory read of one scalar: ``result <- *ptr``."""
+
+    __slots__ = ("pointer",)
 
     def __init__(self, result: Register, pointer: Value):
         super().__init__()
@@ -109,6 +119,8 @@ class Load(Instruction):
 class Store(Instruction):
     """Memory write of one scalar: ``*ptr <- value``."""
 
+    __slots__ = ("pointer", "value")
+
     def __init__(self, pointer: Value, value: Value):
         super().__init__()
         self.pointer = pointer
@@ -120,6 +132,8 @@ class Store(Instruction):
 
 class FieldAddr(Instruction):
     """Address of a structure field: ``result <- &(ptr->field)``."""
+
+    __slots__ = ("pointer", "index")
 
     def __init__(self, result: Register, pointer: Value, index: int):
         super().__init__()
@@ -138,6 +152,8 @@ class ElemAddr(Instruction):
     ``τ*``.
     """
 
+    __slots__ = ("pointer", "index")
+
     def __init__(self, result: Register, pointer: Value, index: Value):
         super().__init__()
         self.result = result
@@ -151,6 +167,8 @@ class ElemAddr(Instruction):
 class PtrCast(Instruction):
     """Pointer-to-pointer cast: ``result <- (ty*)ptr``."""
 
+    __slots__ = ("pointer",)
+
     def __init__(self, result: Register, pointer: Value):
         super().__init__()
         self.result = result
@@ -162,6 +180,8 @@ class PtrCast(Instruction):
 
 class PtrToInt(Instruction):
     """Pointer-to-int cast (recognized only under DSA scope expansion)."""
+
+    __slots__ = ("pointer",)
 
     def __init__(self, result: Register, pointer: Value):
         super().__init__()
@@ -175,6 +195,8 @@ class PtrToInt(Instruction):
 class IntToPtr(Instruction):
     """Int-to-pointer cast (forbidden by SDS/MDS; handled via DSA, Ch. 5)."""
 
+    __slots__ = ("value",)
+
     def __init__(self, result: Register, value: Value):
         super().__init__()
         self.result = result
@@ -186,6 +208,8 @@ class IntToPtr(Instruction):
 
 class BinOp(Instruction):
     """Integer or float arithmetic: ``result <- lhs op rhs``."""
+
+    __slots__ = ("op", "lhs", "rhs")
 
     def __init__(self, result: Register, op: str, lhs: Value, rhs: Value):
         if op not in BINARY_OPS and op not in FLOAT_OPS:
@@ -203,6 +227,8 @@ class BinOp(Instruction):
 class Cmp(Instruction):
     """Comparison producing an ``int8`` 0/1: ``result <- lhs op rhs``."""
 
+    __slots__ = ("op", "lhs", "rhs")
+
     def __init__(self, result: Register, op: str, lhs: Value, rhs: Value):
         if op not in CMP_OPS:
             raise ValueError(f"unknown comparison op {op!r}")
@@ -219,6 +245,8 @@ class Cmp(Instruction):
 class NumCast(Instruction):
     """Numeric conversion between scalar non-pointer types."""
 
+    __slots__ = ("value",)
+
     def __init__(self, result: Register, value: Value):
         super().__init__()
         self.result = result
@@ -234,6 +262,8 @@ class Call(Instruction):
     ``callee`` is a ``str`` naming a module function for direct calls, or a
     :class:`Value` of function-pointer type for indirect calls.
     """
+
+    __slots__ = ("callee", "args")
 
     def __init__(
         self,
@@ -260,6 +290,8 @@ class Call(Instruction):
 class FuncAddr(Instruction):
     """Take the address of a function: ``result <- &fun``."""
 
+    __slots__ = ("function_name",)
+
     def __init__(self, result: Register, function_name: str):
         super().__init__()
         self.result = result
@@ -272,12 +304,16 @@ class FuncAddr(Instruction):
 class Terminator(Instruction):
     """Base class for block terminators."""
 
+    __slots__ = ()
+
     def successors(self) -> List[str]:
         return []
 
 
 class Jump(Terminator):
     """Unconditional branch to a block label."""
+
+    __slots__ = ("target",)
 
     def __init__(self, target: str):
         super().__init__()
@@ -289,6 +325,8 @@ class Jump(Terminator):
 
 class Branch(Terminator):
     """Conditional branch: nonzero ``cond`` goes to ``then_target``."""
+
+    __slots__ = ("cond", "then_target", "else_target")
 
     def __init__(self, cond: Value, then_target: str, else_target: str):
         super().__init__()
@@ -306,6 +344,8 @@ class Branch(Terminator):
 class Ret(Terminator):
     """Function return with an optional scalar value."""
 
+    __slots__ = ("value",)
+
     def __init__(self, value: Optional[Value] = None):
         super().__init__()
         self.value = value
@@ -316,6 +356,8 @@ class Ret(Terminator):
 
 class Unreachable(Terminator):
     """Trap terminator; executing it is a crash (natural detection)."""
+
+    __slots__ = ()
 
 
 def result_type_of_field_addr(pointer_type: Type, index: int) -> PointerType:

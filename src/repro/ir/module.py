@@ -2,34 +2,50 @@
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+import functools
+import sys
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .instructions import Instruction, Terminator
 from .types import FunctionType, PointerType, Type
 from .values import FunctionRef, GlobalRef, Register
 
 
+@functools.lru_cache(maxsize=None)
+def _slot_names(cls: type) -> Tuple[str, ...]:
+    """Every slot of an IR class, base classes first."""
+    return tuple(
+        name for k in reversed(cls.__mro__) for name in vars(k).get("__slots__", ())
+    )
+
+
 def _clone_instruction(inst: Instruction) -> Instruction:
-    """Structural copy of one instruction.
+    """Structural copy of one instruction, slot by slot.
 
     Operand values (registers, constants, refs) are immutable once built and
-    are shared; every mutable container attribute (e.g. ``Call.args``) gets a
-    fresh list so in-place rewrites — the fault injector replacing a malloc
-    count, stamping ``fault_site`` — never reach the original.
+    are shared; every list slot (e.g. ``Call.args``) gets a fresh list so
+    in-place rewrites — the fault injector replacing a malloc count,
+    stamping ``fault_site`` — never reach the original.
     """
-    c = copy.copy(inst)
-    for name, value in vars(c).items():
-        if isinstance(value, list):
-            setattr(c, name, list(value))
+    cls = type(inst)
+    c = cls.__new__(cls)
+    for name in _slot_names(cls):
+        value = getattr(inst, name)
+        setattr(c, name, list(value) if isinstance(value, list) else value)
     return c
 
 
 class BasicBlock:
-    """A labeled straight-line instruction sequence ending in a terminator."""
+    """A labeled straight-line instruction sequence ending in a terminator.
+
+    Slotted like the instructions it holds; the label is interned, as
+    register names are (:class:`~repro.ir.values.Register`).
+    """
+
+    __slots__ = ("label", "instructions")
 
     def __init__(self, label: str):
-        self.label = label
+        self.label = sys.intern(label)
         self.instructions: List[Instruction] = []
 
     @property

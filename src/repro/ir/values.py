@@ -8,6 +8,7 @@ classes model immediate scalar operands.
 
 from __future__ import annotations
 
+import sys
 from typing import Optional, Union
 
 from .types import (
@@ -19,8 +20,13 @@ from .types import (
 
 
 class Value:
-    """Base class for anything usable as an instruction operand."""
+    """Base class for anything usable as an instruction operand.
 
+    Values and instructions are the bulk of every module a build holds, so
+    each IR class declares ``__slots__``: no instance carries a dict.
+    """
+
+    __slots__ = ("type",)
     type: Type
 
     def __init__(self, type: Type):
@@ -28,13 +34,19 @@ class Value:
 
 
 class Register(Value):
-    """A virtual register holding one scalar value."""
+    """A virtual register holding one scalar value.
+
+    The name is interned: every transform of a program declares the same
+    register names, and they share one string each.
+    """
+
+    __slots__ = ("name",)
 
     def __init__(self, name: str, type: Type):
         if not type.is_scalar():
             raise TypeError(f"registers hold scalars only, got {type}")
         super().__init__(type)
-        self.name = name
+        self.name = sys.intern(name)
 
     def __str__(self) -> str:
         return f"%{self.name}"
@@ -45,6 +57,8 @@ class Register(Value):
 
 class ConstInt(Value):
     """An integer immediate."""
+
+    __slots__ = ("value",)
 
     def __init__(self, type: IntType, value: int):
         if not isinstance(type, IntType):
@@ -69,6 +83,8 @@ class ConstInt(Value):
 class ConstFloat(Value):
     """A floating point immediate."""
 
+    __slots__ = ("value",)
+
     def __init__(self, type: FloatType, value: float):
         if not isinstance(type, FloatType):
             raise TypeError(f"ConstFloat requires a FloatType, got {type}")
@@ -81,6 +97,8 @@ class ConstFloat(Value):
 
 class ConstNull(Value):
     """The null pointer constant of a given pointer type."""
+
+    __slots__ = ()
 
     def __init__(self, type: PointerType):
         if not isinstance(type, PointerType):
@@ -99,6 +117,8 @@ class GlobalRef(Value):
     declared value type).
     """
 
+    __slots__ = ("name",)
+
     def __init__(self, name: str, type: PointerType):
         super().__init__(type)
         self.name = name
@@ -109,6 +129,8 @@ class GlobalRef(Value):
 
 class FunctionRef(Value):
     """A direct reference to a function (for calls and address-of)."""
+
+    __slots__ = ("name",)
 
     def __init__(self, name: str, type: PointerType):
         super().__init__(type)

@@ -113,7 +113,8 @@ class TestRecordIdentity:
             assert job.sites
             for variant in variants:
                 for si, site in enumerate(job.sites):
-                    _, fast = site_build(job, si, variant)
+                    source, fast = site_build(job, si, variant)
+                    assert source is None  # the entry keeps only the build
                     full = reference_build(job, si, variant)
                     assert format_module(full._build.module) == format_module(
                         fast.module
@@ -193,6 +194,80 @@ class TestCacheInvalidation:
         pristine = app_factory("art", 1)()
         with pytest.raises(ValueError):
             IncrementalDpmrCompiler(DpmrCompiler(optimize=True), pristine)
+
+
+_CFG = "644d6f6737e15f2cd15f101cca755c91472fa545ff6a41b25117b7bf8de94451"
+_MAIN_STATE = "4304ce7a73eb57e653a75918d84aa2d57dafc833b6bfb4fb7fbb35827ff4299a"
+
+#: Provenance stamps (transform digest, policy pre-state digest, source
+#: digest) of equake's SDS static-50% base transform, per output function,
+#: as produced before policy snapshots were packed into arrays.  The
+#: compiled tier keys generated code on these, so they must not move.
+EQUAKE_SDS_STATIC_50_STAMPS = {
+    "addEdge": (
+        _CFG,
+        "518a9972c9e489bf800b8b5a69a86344b2bebf25e4f86b3b959d369c6331739b",
+        "3c6b0f703450d9032a59ba2e8b510c1b8adf1127f53d37a284e5160eadeb3976",
+    ),
+    "mainAug": (
+        _CFG,
+        _MAIN_STATE,
+        "bc85511092d193598cbf001aca3d4f84938b71de5f21ac91dae47c743a93af90",
+    ),
+    "main": (
+        _CFG,
+        _MAIN_STATE,
+        "bc85511092d193598cbf001aca3d4f84938b71de5f21ac91dae47c743a93af90",
+    ),
+}
+
+#: The stamp of ``mainAug`` and ``main`` after the first heap-array-resize
+#: site of the same program is re-transformed: the same pre-state digest
+#: over the faulty source.
+EQUAKE_SDS_STATIC_50_SITE0_STAMP = (
+    _CFG,
+    _MAIN_STATE,
+    "9693cdce1671d9d5ecbfdd4cc63be69240dd48bc479a8d7d8e9dc83697fdf902",
+)
+
+
+class TestProvenanceStamps:
+    def test_static_policy_stamps_are_pinned(self):
+        camp = Campaign(app_factory("equake", 1), HEAP_ARRAY_RESIZE)
+        variant = Variant(name="static-50%", design="sds", policy=static_50())
+        incremental = IncrementalDpmrCompiler(
+            variant.transform_compiler(), camp.pristine
+        )
+        base = incremental.base_module
+        stamps = {
+            name: fn._dpmr_stamp
+            for name, fn in base.functions.items()
+            if hasattr(fn, "_dpmr_stamp")
+        }
+        assert stamps == EQUAKE_SDS_STATIC_50_STAMPS
+        site = camp.sites[0]
+        assert site.site_id == "heap-array-resize@main/entry/3"
+        build = incremental.compile(camp.faulty_module(site))
+        assert build.cache_misses == 1
+        for name in ("mainAug", "main"):
+            assert build.module.functions[name]._dpmr_stamp == (
+                EQUAKE_SDS_STATIC_50_SITE0_STAMP
+            )
+
+    def test_policy_snapshot_restores_the_draws(self):
+        # A snapshot taken mid-stream, restored into the same policy and
+        # into a fresh one, replays the next 1,000 per-site draws exactly;
+        # the text stamps digest is the RNG state's own repr.
+        policy = static_50()
+        for _ in range(37):
+            policy._rng.random()
+        rng_state = policy._rng.getstate()
+        snapshot = policy.compile_state()
+        assert policy.compile_state_repr(snapshot) == repr(rng_state)
+        expected = [policy._rng.random() for _ in range(1000)]
+        for target in (policy, static_50()):
+            target.restore_compile_state(snapshot)
+            assert [target._rng.random() for _ in range(1000)] == expected
 
 
 class TestExecutorIntegration:
