@@ -47,7 +47,19 @@ from .eval.variants import (  # noqa: E402
     variant_registry,
 )
 from .machine.process import ExitStatus, ProcessResult, run_process  # noqa: E402
-from .service import ServiceClient, ServiceDaemon, ServiceError  # noqa: E402
+
+#: Resolved from ``repro.service`` on first access (PEP 562), so a process
+#: that never serves does not import the daemon's asyncio stack.
+_SERVICE_NAMES = frozenset({"ServiceClient", "ServiceDaemon", "ServiceError"})
+
+
+def __getattr__(name):
+    if name in _SERVICE_NAMES:
+        from . import service
+
+        return getattr(service, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CampaignRequest",

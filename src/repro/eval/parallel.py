@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -573,7 +572,7 @@ def run_campaign_jobs_with_manifest(
                 incremental=config.incremental,
             )
             supervisor = WorkerSupervisor(
-                multiprocessing.get_context("fork") if effective > 1 else None,
+                _fork_context() if effective > 1 else None,
                 functools.partial(serve, run_item),
                 effective,
                 retries=config.retries,
@@ -719,5 +718,15 @@ def run_campaign_jobs(
     return records
 
 
+# ``multiprocessing`` is imported only where a pool may fork, so a serial
+# campaign, and a daemon that runs one, never loads it.
 def _fork_available() -> bool:
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _fork_context():
+    import multiprocessing
+
+    return multiprocessing.get_context("fork")

@@ -59,7 +59,6 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 logger = logging.getLogger("repro.eval.supervise")
@@ -232,6 +231,8 @@ class WorkerSupervisor:
         self._results: Dict[Hashable, object] = {}
         if inline is not None:
             return self._run_inline(inline)
+        from multiprocessing.connection import wait  # the forked loop only
+
         self._slots: List[_Slot] = [
             self._spawn(wid) for wid in range(self.n_workers)
         ]
@@ -240,7 +241,7 @@ class WorkerSupervisor:
                 if self._cancelled():
                     break
                 self._dispatch()
-                ready = _conn_wait(
+                ready = wait(
                     [s.result_r for s in self._slots],
                     timeout=self._next_wait(),
                 )

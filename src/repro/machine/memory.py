@@ -154,15 +154,11 @@ _BUFFER_POOL: Dict[int, List[bytearray]] = {}
 _BUFFER_POOL_MAX = 8
 
 
-def _garbage_template(seed: int, size: int) -> bytes:
-    return random.Random(seed).randbytes(size)
-
-
 def _garbage_bytes(seed: int, size: int) -> bytes:
     key = (seed, size)
     data = _GARBAGE_CACHE.get(key)
     if data is None:
-        data = _GARBAGE_CACHE[key] = _garbage_template(seed, size)
+        data = _GARBAGE_CACHE[key] = random.Random(seed).randbytes(size)
     return data
 
 
@@ -182,18 +178,29 @@ _COW_GARBAGE = hasattr(os, "memfd_create")
 #: inherited by forked campaign workers along with their mappings.
 _GARBAGE_FDS: Dict[Tuple[int, int], int] = {}
 
+#: Bytes of template generated and written per step by _garbage_fd.  A
+#: multiple of 4: ``randbytes`` consumes whole 32-bit words of the
+#: generator, so such chunks concatenate to exactly ``randbytes(size)``.
+_TEMPLATE_CHUNK = 1 << 16
+
 
 def _garbage_fd(seed: int, size: int) -> int:
-    """The memfd holding the (seed, size) template.  The template's bytes
-    are written into it and dropped: copy-on-write segments map the memfd
-    and never read them again."""
+    """The memfd holding the (seed, size) template.  The template is
+    streamed into it a chunk at a time and never held whole:
+    copy-on-write segments map the memfd and never read the bytes again."""
     key = (seed, size)
     fd = _GARBAGE_FDS.get(key)
     if fd is None:
         fd = os.memfd_create(f"dpmr-garbage-{seed & 0xFFFFFFFF:08x}")
-        view = memoryview(_garbage_template(seed, size))
-        while view:
-            view = view[os.write(fd, view):]
+        try:
+            rng = random.Random(seed)
+            for start in range(0, size, _TEMPLATE_CHUNK):
+                view = memoryview(rng.randbytes(min(_TEMPLATE_CHUNK, size - start)))
+                while view:
+                    view = view[os.write(fd, view):]
+        except BaseException:
+            os.close(fd)  # the caller falls back; do not leak one fd per try
+            raise
         _GARBAGE_FDS[key] = fd
     return fd
 

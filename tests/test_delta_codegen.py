@@ -55,20 +55,23 @@ def test_store_resume_cold_interp_warm_compiled_default(tmp_path):
 
 
 def test_garbage_segment_bytes_match_template_on_both_paths(monkeypatch):
-    size = 3 * 4096  # distinctive size: avoids the pool other tests use
     seed = 0xD19E5
-    template = M._garbage_bytes(seed ^ M.HEAP_BASE, size)
-    cow = Segment("heap", M.HEAP_BASE, size, fill_seed=seed)
-    assert bytes(cow.data) == template
-    monkeypatch.setattr(M, "_COW_GARBAGE", False)
-    plain = Segment("heap", M.HEAP_BASE, size, fill_seed=seed)
-    assert bytes(plain.data) == template
-    # Both are writable without disturbing the shared template.
-    cow.data[0:4] = b"ABCD"
-    plain.data[0:4] = b"ABCD"
-    assert template[:4] == M._garbage_bytes(seed ^ M.HEAP_BASE, size)[:4]
-    cow.release()
-    plain.release()
+    # Distinctive sizes avoid the pool other tests use; the second spans
+    # several memfd template chunks and ends in a partial one.
+    for size in (3 * 4096, 2 * M._TEMPLATE_CHUNK + 3 * 4096):
+        template = M._garbage_bytes(seed ^ M.HEAP_BASE, size)
+        cow = Segment("heap", M.HEAP_BASE, size, fill_seed=seed)
+        assert bytes(cow.data) == template
+        with monkeypatch.context() as mp:
+            mp.setattr(M, "_COW_GARBAGE", False)
+            plain = Segment("heap", M.HEAP_BASE, size, fill_seed=seed)
+        assert bytes(plain.data) == template
+        # Both are writable without disturbing the shared template.
+        cow.data[0:4] = b"ABCD"
+        plain.data[0:4] = b"ABCD"
+        assert template[:4] == M._garbage_bytes(seed ^ M.HEAP_BASE, size)[:4]
+        cow.release()
+        plain.release()
 
 
 def test_released_segment_buffer_is_pooled_and_inaccessible(monkeypatch):

@@ -1,10 +1,17 @@
 """Simulated memory tests: typed access, traps, garbage initialization."""
 
+import errno
+import os
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.ir import FLOAT32, FLOAT64, INT16, INT32, INT64, INT8, VOID, PointerType
 from repro.machine import Memory, MemoryTrap
+from repro.machine import memory as M
+from repro.machine.memory import Segment
 
 
 @pytest.fixture
@@ -95,6 +102,66 @@ class TestGarbageInitialization:
     def test_globals_zero_initialized(self):
         mem = Memory()
         assert mem.read_bytes(mem.globals.base, 64) == b"\x00" * 64
+
+
+@pytest.mark.skipif(not M._COW_GARBAGE, reason="memfd_create unavailable")
+class TestGarbageTemplateMemfd:
+    """Copy-on-write garbage templates are streamed into their memfds a
+    chunk at a time, and a template that cannot be written leaves no fd."""
+
+    @pytest.fixture
+    def fresh_fds(self, monkeypatch):
+        fds = {}
+        monkeypatch.setattr(M, "_GARBAGE_FDS", fds)
+        yield fds
+        for fd in fds.values():
+            os.close(fd)
+
+    @pytest.mark.parametrize(
+        "base, size",
+        [
+            (M.HEAP_BASE, M.DEFAULT_HEAP_SIZE),
+            (M.STACK_BASE, M.DEFAULT_STACK_SIZE),
+            # a multiple of neither the chunk nor the generator's 4-byte word
+            (M.HEAP_BASE, M._TEMPLATE_CHUNK + 4099),
+        ],
+    )
+    def test_memfd_holds_exactly_randbytes(self, fresh_fds, base, size):
+        seed = 0xD19E5 ^ base
+        fd = M._garbage_fd(seed, size)
+        assert os.fstat(fd).st_size == size
+        assert os.pread(fd, size, 0) == random.Random(seed).randbytes(size)
+
+    def test_template_is_never_held_whole(self, fresh_fds):
+        tracemalloc.start()
+        try:
+            M._garbage_fd(0xD19E5 ^ M.HEAP_BASE, M.DEFAULT_HEAP_SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Generating the 4 MiB template in one call peaks at about 8 MiB.
+        assert peak < 1 << 20
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd"
+    )
+    def test_failed_template_write_leaks_no_fd(self, fresh_fds, monkeypatch):
+        def failing_write(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        size, seed = 7 * 4096, 0xD19E5
+        before = len(os.listdir("/proc/self/fd"))
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "write", failing_write)
+            segments = [
+                Segment("heap", M.HEAP_BASE, size, fill_seed=seed)
+                for _ in range(20)
+            ]
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert not fresh_fds
+        # Every segment fell back to the pooled-bytearray template.
+        template = random.Random(seed ^ M.HEAP_BASE).randbytes(size)
+        assert all(bytes(seg.data) == template for seg in segments)
 
 
 @given(st.integers(min_value=-(2**31), max_value=2**31 - 1))

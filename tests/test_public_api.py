@@ -8,6 +8,12 @@ this file.  Also pins the post-soak removal of the PR-4 kwarg aliases:
 """
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +93,73 @@ class TestLayerSurfaces:
             "variant_registry",
         }
         assert from_eval <= set(eval_names)
+
+
+def _fresh_process(code, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this
+    ``repro``; returns what it prints as JSON."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    return json.loads(result.stdout)
+
+
+class TestImportScope:
+    """A process loads the service's asyncio stack and the worker pool's
+    ``multiprocessing`` only when it serves or forks."""
+
+    def test_library_import_loads_neither(self):
+        out = _fresh_process(
+            """
+            import json, sys
+            import repro, repro.eval
+            loaded = [m for m in ("asyncio", "multiprocessing") if m in sys.modules]
+            names = ("ServiceClient", "ServiceDaemon", "ServiceError")
+            lazy = [getattr(repro, n) for n in names]
+            service = sys.modules["repro.service"]
+            print(json.dumps({
+                "loaded": loaded,
+                "resolved": [o is getattr(service, n) for o, n in zip(lazy, names)],
+            }))
+            """
+        )
+        assert out == {"loaded": [], "resolved": [True, True, True]}
+
+    def test_serial_daemon_loads_no_pool(self, tmp_path):
+        out = _fresh_process(
+            """
+            import json, sys
+            import repro.service.__main__
+            after_import = "multiprocessing" in sys.modules
+            from repro import CampaignRequest, ExecConfig, ServiceClient, ServiceDaemon
+            from repro.faultinject import HEAP_ARRAY_RESIZE
+            request = CampaignRequest(
+                workloads=("mcf",),
+                kinds=(HEAP_ARRAY_RESIZE,),
+                variants=("no-diversity",),
+                max_sites=1,
+            )
+            with ServiceDaemon(ExecConfig(jobs=1), unix_path=sys.argv[1]):
+                with ServiceClient(unix_path=sys.argv[1]) as client:
+                    records = len(client.submit(request).records)
+            print(json.dumps([after_import, records, "multiprocessing" in sys.modules]))
+            """,
+            str(tmp_path / "d.sock"),
+        )
+        after_import, records, after_serving = out
+        assert records > 0
+        assert after_import is False and after_serving is False
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(repro, "no_such_name")
 
 
 class TestRemovedKnobSurface:

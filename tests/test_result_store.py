@@ -121,7 +121,8 @@ class TestCorruption:
         store_dir = tmp_path / "s"
         cold = campaign_with_store(harness, variants, store_dir)
         victim = self._entry_paths(store_dir)[0]
-        text = open(victim).read()
+        with open(victim) as fh:
+            text = fh.read()
         with open(victim, "w") as fh:
             fh.write(text[: len(text) // 2])
         warm = campaign_with_store(harness, variants, store_dir)
@@ -138,9 +139,11 @@ class TestCorruption:
         store_dir = tmp_path / "s"
         cold = campaign_with_store(harness, variants, store_dir)
         victim = self._entry_paths(store_dir)[0]
-        entry = json.load(open(victim))
+        with open(victim) as fh:
+            entry = json.load(fh)
         entry["record"]["result"]["cycles"] += 1
-        json.dump(entry, open(victim, "w"))
+        with open(victim, "w") as fh:
+            json.dump(entry, fh)
         warm = campaign_with_store(harness, variants, store_dir)
         assert warm.manifest.store_corrupt == 1
         assert [r.signature() for r in warm.records] == [
